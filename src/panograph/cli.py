@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import data_io, features, graph, gradcheck, train
-from .errors import PanographError
+from .errors import ConfigError, PanographError
 from .nn import ModelConfig
 from .nn.model import STREAM_ORDER
 from .reassign import assemble_sequence, parse_jsonl
@@ -21,12 +21,11 @@ GRADCHECK_TOL = 1e-4
 
 def _worker_count() -> int:
     cap = os.environ.get("PANOGRAPH_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            pass
-    return min(os.cpu_count() or 1, 8)
+    if not cap:
+        return min(os.cpu_count() or 1, 8)
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ConfigError(f"PANOGRAPH_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
 
 
 def cmd_synth(args) -> int:
@@ -177,8 +176,6 @@ def cmd_train(args) -> int:
         num_classes=manifest["num_classes"],
         in_channels=in_channels,
     )
-    if in_channels == 2:
-        model_cfg.input_branch_channels[0] = (4, model_cfg.input_branch_channels[0][1])
     if divisor > 1:
         model_cfg = model_cfg.scaled(divisor)
     os.makedirs(args.out, exist_ok=True)

@@ -83,6 +83,8 @@ def read_tensor_container(path: str) -> dict[str, np.ndarray]:
             raise FormatError(f"{path}: truncated payload for entry {name!r}")
         off += nbytes
         out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} trailing bytes after {count} entries")
     return out
 
 

@@ -127,16 +127,11 @@ def _temporal_diffs(x: np.ndarray) -> np.ndarray:
 
 
 def joint_motion_stream(x: np.ndarray) -> np.ndarray:
-    return _flatten_2c(_temporal_diffs(x))
+    return _flatten(_temporal_diffs(x))
 
 
 def bone_motion_stream(x: np.ndarray, topology: GraphTopology) -> np.ndarray:
-    return _flatten_2c(_temporal_diffs(bone_vectors(x, topology)))
-
-
-def _flatten_2c(x: np.ndarray) -> np.ndarray:
-    T, M, Np, C2 = x.shape
-    return x.reshape(T, M * Np, C2)
+    return _flatten(_temporal_diffs(bone_vectors(x, topology)))
 
 
 def build_feature_bundle(x: np.ndarray, topology: GraphTopology) -> FeatureBundle:

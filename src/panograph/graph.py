@@ -235,15 +235,8 @@ def normalize_symmetric(A: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * A * inv_sqrt[None, :]
 
 
-def partition_and_normalize(
-    topology: GraphTopology, inter_edges: list[tuple[int, int]] | None = None
-) -> PartitionedAdjacency:
-    """Build the (3, MN', MN') normalized partitions from a topology.
-
-    ``inter_edges`` overrides the topology's own inter list when given.
-    """
-    if inter_edges is not None:
-        topology = replace(topology, inter_edges=list(inter_edges))
+def partition_and_normalize(topology: GraphTopology) -> PartitionedAdjacency:
+    """Build the (3, MN', MN') normalized partitions from a topology."""
     topology.validate()
     n = topology.num_nodes
     A = np.zeros((3, n, n))

@@ -65,15 +65,15 @@ class MultiScaleTCN(Module):
     stride so T_out = ceil(T / stride).
     """
 
-    def __init__(self, in_channels, out_channels, rng, stride=1, dilations=(1, 2)):
+    def __init__(self, in_channels, out_channels, rng, stride=1):
         super().__init__()
         if out_channels % 4 != 0:
             raise ConfigError(f"TCN output channels {out_channels} not divisible by 4")
         bc = out_channels // 4
         self.branch_channels = bc
         self.branches = [
-            self.add("b0", _ConvBranch(in_channels, bc, rng, stride, dilations[0])),
-            self.add("b1", _ConvBranch(in_channels, bc, rng, stride, dilations[1])),
+            self.add("b0", _ConvBranch(in_channels, bc, rng, stride, dilation=1)),
+            self.add("b1", _ConvBranch(in_channels, bc, rng, stride, dilation=2)),
             self.add("b2", _PoolBranch(in_channels, bc, rng, stride)),
             self.add("b3", Conv1x1(in_channels, bc, rng, stride=stride)),
         ]
@@ -99,16 +99,7 @@ class BasicBlock(Module):
     """
 
     def __init__(
-        self,
-        in_channels,
-        out_channels,
-        adjacency,
-        num_persons,
-        nodes_per_person,
-        rng,
-        stride=1,
-        attention_reduction=4,
-        dilations=(1, 2),
+        self, in_channels, out_channels, adjacency, num_persons, nodes_per_person, rng, stride=1
     ):
         super().__init__()
         self.stride = stride
@@ -118,18 +109,13 @@ class BasicBlock(Module):
         self.res1 = None
         if in_channels != out_channels:
             self.res1 = self.add("res1", Conv1x1(in_channels, out_channels, rng))
-        self.tcn = self.add(
-            "tcn", MultiScaleTCN(out_channels, out_channels, rng, stride=stride, dilations=dilations)
-        )
+        self.tcn = self.add("tcn", MultiScaleTCN(out_channels, out_channels, rng, stride=stride))
         self.bn2 = self.add("bn2", BatchNorm(out_channels))
         self.relu2 = self.add("relu2", ReLU())
         self.res2 = None
         if stride != 1:
             self.res2 = self.add("res2", Conv1x1(out_channels, out_channels, rng, stride=stride))
-        self.att = self.add(
-            "att",
-            STPAttention(out_channels, num_persons, nodes_per_person, rng, attention_reduction),
-        )
+        self.att = self.add("att", STPAttention(out_channels, num_persons, nodes_per_person, rng))
 
     def forward(self, x, training=False):
         s = self.bn1.forward(self.sgc.forward(x, training), training)

@@ -36,32 +36,24 @@ class Module:
         self._children.append((name, module))
         return module
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, value in self._params.items():
+    def _walk(self, attr: str, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
+        for name, value in getattr(self, attr).items():
             yield prefix + name, value
         for child_name, child in self._children:
-            yield from child.named_parameters(prefix + child_name + ".")
+            yield from child._walk(attr, prefix + child_name + ".")
 
-    def named_grads(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, value in self._grads.items():
-            yield prefix + name, value
-        for child_name, child in self._children:
-            yield from child.named_grads(prefix + child_name + ".")
+    def named_parameters(self) -> Iterator[tuple[str, np.ndarray]]:
+        return self._walk("_params")
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, value in self._buffers.items():
-            yield prefix + name, value
-        for child_name, child in self._children:
-            yield from child.named_buffers(prefix + child_name + ".")
+    def named_grads(self) -> Iterator[tuple[str, np.ndarray]]:
+        return self._walk("_grads")
+
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        return self._walk("_buffers")
 
     def zero_grad(self) -> None:
-        for g in self._grads.values():
+        for _, g in self.named_grads():
             g[...] = 0.0
-        for _, child in self._children:
-            child.zero_grad()
-
-    def get_param(self, name: str) -> np.ndarray:
-        return dict(self.named_parameters())[name]
 
     def load_state(self, params: dict[str, np.ndarray], buffers: dict[str, np.ndarray] | None = None) -> None:
         own = dict(self.named_parameters())

@@ -20,13 +20,13 @@ class ReLU(Module):
 
 
 class Conv1x1(Module):
-    """Pointwise channel transform, optionally with temporal subsampling."""
+    """Pointwise channel transform with bias, optionally with temporal subsampling."""
 
-    def __init__(self, in_channels, out_channels, rng, stride=1, bias=True):
+    def __init__(self, in_channels, out_channels, rng, stride=1):
         super().__init__()
         self.stride = stride
         self.w = self.param("w", kaiming_uniform(rng, (out_channels, in_channels), in_channels))
-        self.b = self.param("b", np.zeros(out_channels)) if bias else None
+        self.b = self.param("b", np.zeros(out_channels))
 
     def forward(self, x, training=False):
         self._full_T = x.shape[2]
@@ -35,8 +35,7 @@ class Conv1x1(Module):
         self._x = x
         B, C, T, N = x.shape
         y = (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
-        if self.b is not None:
-            y += self.b[None, :, None, None]
+        y += self.b[None, :, None, None]
         return y
 
     def backward(self, grad_out):
@@ -44,8 +43,7 @@ class Conv1x1(Module):
         g2 = grad_out.reshape(B, O, T * N)
         x2 = self._x.reshape(B, -1, T * N)
         self._grads["w"] += np.einsum("bol,bcl->oc", g2, x2)
-        if self.b is not None:
-            self._grads["b"] += grad_out.sum(axis=(0, 2, 3))
+        self._grads["b"] += grad_out.sum(axis=(0, 2, 3))
         gx = (self.w.T @ g2).reshape(B, -1, T, N)
         if self.stride > 1:
             full = np.zeros(
@@ -57,18 +55,18 @@ class Conv1x1(Module):
 
 
 class TemporalConv(Module):
-    """kt x 1 convolution along the frame axis with dilation and stride.
+    """3 x 1 convolution along the frame axis with dilation and stride.
 
     Symmetric zero padding keeps T_out = ceil(T / stride).
     """
 
-    def __init__(self, in_channels, out_channels, rng, kernel=3, stride=1, dilation=1):
+    def __init__(self, in_channels, out_channels, rng, stride=1, dilation=1):
         super().__init__()
-        self.kernel = kernel
+        self.kernel = 3
         self.stride = stride
         self.dilation = dilation
-        fan_in = in_channels * kernel
-        self.w = self.param("w", kaiming_uniform(rng, (out_channels, in_channels, kernel), fan_in))
+        shape = (out_channels, in_channels, self.kernel)
+        self.w = self.param("w", kaiming_uniform(rng, shape, in_channels * self.kernel))
         self.b = self.param("b", np.zeros(out_channels))
 
     def _window_index(self, T):
@@ -107,9 +105,9 @@ class TemporalConv(Module):
 class MaxPoolT(Module):
     """Temporal max pooling, window 3, same padding, configurable stride."""
 
-    def __init__(self, stride=1, kernel=3):
+    def __init__(self, stride=1):
         super().__init__()
-        self.kernel = kernel
+        self.kernel = 3
         self.stride = stride
 
     def forward(self, x, training=False):
@@ -139,10 +137,10 @@ class MaxPoolT(Module):
 class BatchNorm(Module):
     """Per-channel normalization over (batch, frames, nodes)."""
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5):
+    def __init__(self, channels):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
+        self.momentum = 0.9
+        self.eps = 1e-5
         self.gamma = self.param("gamma", np.ones(channels))
         self.beta = self.param("beta", np.zeros(channels))
         self.running_mean = self.buffer("running_mean", np.zeros(channels))
@@ -270,13 +268,11 @@ class STPAttention(Module):
     input by the outer product of the sigmoided person and frame scores.
     """
 
-    def __init__(self, channels, num_persons, nodes_per_person, rng, reduction=4):
+    def __init__(self, channels, num_persons, nodes_per_person, rng):
         super().__init__()
-        if channels % reduction != 0:
-            raise ConfigError(
-                f"attention channels {channels} not divisible by reduction {reduction}"
-            )
-        hidden = channels // reduction
+        if channels % 4 != 0:
+            raise ConfigError(f"attention channels {channels} not divisible by reduction 4")
+        hidden = channels // 4
         self.M = num_persons
         self.Np = nodes_per_person
         self.w1 = self.param("w1", kaiming_uniform(rng, (hidden, channels), channels))

@@ -1,7 +1,7 @@
 """The full network: four input branches, early-fusion main branch, classifier."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -12,27 +12,30 @@ from .layers import Linear
 
 STREAM_ORDER = ("joint", "bone", "joint_motion", "bone_motion")
 
-DEFAULT_INPUT_BRANCH = [(6, 64), (64, 64), (64, 32)]
-DEFAULT_MAIN_BRANCH = [(128, 128), (128, 128), (128, 128), (128, 256), (256, 256), (256, 256)]
+# Output width of each block; input widths follow from the plan (see ModelConfig).
+DEFAULT_INPUT_BRANCH = [64, 64, 32]
+DEFAULT_MAIN_BRANCH = [128, 128, 128, 256, 256, 256]
+STRIDED_MAIN_BLOCK = 3  # the main block whose TCN halves the frame count
 
 
 @dataclass
 class ModelConfig:
+    """Graph size, class count and per-block output widths of an MPGCN.
+
+    Block input widths are derived, not stored: the first input-branch block
+    reads the 2C stream channels, the first main block reads the four input
+    branches concatenated (4x the last input-branch width), and every other
+    block reads its predecessor's output.
+    """
+
     num_persons: int
     joints_per_person: int
     object_keypoints: int
     num_frames: int
     num_classes: int
     in_channels: int = 3  # coordinate channels C; streams carry 2C
-    input_branch_channels: list[tuple[int, int]] = field(
-        default_factory=lambda: [tuple(p) for p in DEFAULT_INPUT_BRANCH]
-    )
-    main_branch_channels: list[tuple[int, int]] = field(
-        default_factory=lambda: [tuple(p) for p in DEFAULT_MAIN_BRANCH]
-    )
-    tcn_dilations: tuple[int, int] = (1, 2)
-    attention_reduction: int = 4
-    temporal_stride_blocks: frozenset[int] = frozenset({3})
+    input_branch_channels: list[int] = field(default_factory=lambda: list(DEFAULT_INPUT_BRANCH))
+    main_branch_channels: list[int] = field(default_factory=lambda: list(DEFAULT_MAIN_BRANCH))
 
     @property
     def nodes_per_person(self) -> int:
@@ -45,44 +48,17 @@ class ModelConfig:
     def validate(self) -> None:
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
-        if self.input_branch_channels[0][0] != 2 * self.in_channels:
-            raise ConfigError(
-                f"first input-branch block expects {self.input_branch_channels[0][0]} channels "
-                f"but streams carry {2 * self.in_channels}"
-            )
-        fused = 4 * self.input_branch_channels[-1][1]
-        if fused != self.main_branch_channels[0][0]:
-            raise ConfigError(
-                f"concatenated branch channels {fused} do not match main branch "
-                f"input {self.main_branch_channels[0][0]}"
-            )
-        for cin, cout in self.input_branch_channels + self.main_branch_channels:
-            if cout % 4 != 0:
-                raise ConfigError(f"block output {cout} not divisible by 4 (TCN branches)")
+        for width in self.input_branch_channels + self.main_branch_channels:
+            if width % 4 != 0:
+                raise ConfigError(f"block output {width} not divisible by 4 (TCN branches)")
 
     def scaled(self, divisor: int) -> "ModelConfig":
         """Channel plan shrunk by an integer divisor (for tiny/desk-scale runs)."""
-        def shrink(plan, keep_first):
-            out = []
-            for i, (cin, cout) in enumerate(plan):
-                cin2 = cin if (keep_first and i == 0) else max(cin // divisor, 4)
-                out.append((cin2, max(cout // divisor, 4)))
-            return out
-
-        cfg = ModelConfig(
-            num_persons=self.num_persons,
-            joints_per_person=self.joints_per_person,
-            object_keypoints=self.object_keypoints,
-            num_frames=self.num_frames,
-            num_classes=self.num_classes,
-            in_channels=self.in_channels,
-            input_branch_channels=shrink(self.input_branch_channels, keep_first=True),
-            main_branch_channels=shrink(self.main_branch_channels, keep_first=False),
-            tcn_dilations=self.tcn_dilations,
-            attention_reduction=self.attention_reduction,
-            temporal_stride_blocks=self.temporal_stride_blocks,
+        return replace(
+            self,
+            input_branch_channels=[max(c // divisor, 4) for c in self.input_branch_channels],
+            main_branch_channels=[max(c // divisor, 4) for c in self.main_branch_channels],
         )
-        return cfg
 
 
 class _BlockStack(Module):
@@ -120,37 +96,27 @@ class MPGCN(Module):
         self.config = config
         self.adjacency = adjacency
 
-        def make_block(cin, cout, stride):
-            return BasicBlock(
-                cin,
-                cout,
-                adjacency,
-                config.num_persons,
-                config.nodes_per_person,
-                rng,
-                stride=stride,
-                attention_reduction=config.attention_reduction,
-                dilations=config.tcn_dilations,
-            )
+        def stack(cin, widths, strided_block=None):
+            blocks = []
+            for j, cout in enumerate(widths):
+                stride = 2 if j == strided_block else 1
+                blocks.append(
+                    BasicBlock(cin, cout, adjacency, config.num_persons, config.nodes_per_person,
+                               rng, stride=stride)
+                )
+                cin = cout
+            return _BlockStack(blocks)
 
         self.branches = [
-            self.add(
-                f"branch{i}",
-                _BlockStack([make_block(cin, cout, 1) for cin, cout in config.input_branch_channels]),
-            )
+            self.add(f"branch{i}", stack(2 * config.in_channels, config.input_branch_channels))
             for i in range(4)
         ]
+        fused = 4 * config.input_branch_channels[-1]
         self.main = self.add(
-            "main",
-            _BlockStack(
-                [
-                    make_block(cin, cout, 2 if j in config.temporal_stride_blocks else 1)
-                    for j, (cin, cout) in enumerate(config.main_branch_channels)
-                ]
-            ),
+            "main", stack(fused, config.main_branch_channels, strided_block=STRIDED_MAIN_BLOCK)
         )
         self.classifier = self.add(
-            "classifier", Linear(config.main_branch_channels[-1][1], config.num_classes, rng)
+            "classifier", Linear(config.main_branch_channels[-1], config.num_classes, rng)
         )
 
     def forward(self, streams, training=False):

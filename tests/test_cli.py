@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from panograph import cli, data_io
+from panograph.errors import ConfigError
 
 
 TRAIN_CONFIG = """\
@@ -81,6 +82,21 @@ class TestReassign:
         assert cli.main(["reassign", "--data", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_record_exits_1(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        assert cli.main(["synth", "--classes", "2", "--per-class", "1", "--persons", "2",
+                         "--joints", "3", "--frames", "4", "--out", data]) == 0
+        path = os.path.join(data, data_io.load_manifest(data)["samples"][0]["jsonl"])
+        lines = open(path).read().splitlines()
+        rec = json.loads(lines[0])
+        rec["conf"] = float("nan")
+        open(path, "w").write("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["reassign", "--data", data]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 1: non-finite value in 'conf'" in err
+        assert "Traceback" not in err
+
 
 class TestFeatures:
     def test_stream_cache(self, pipeline):
@@ -95,8 +111,14 @@ class TestFeatures:
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("PANOGRAPH_THREADS", "2")
         assert cli._worker_count() == 2
-        monkeypatch.setenv("PANOGRAPH_THREADS", "zero")
+        monkeypatch.setenv("PANOGRAPH_THREADS", "")
         assert cli._worker_count() >= 1
+
+    @pytest.mark.parametrize("value", ["abc", "zero", "0", "-2", "1.5"])
+    def test_thread_cap_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("PANOGRAPH_THREADS", value)
+        with pytest.raises(ConfigError, match="PANOGRAPH_THREADS"):
+            cli._worker_count()
 
 
 class TestTrain:

@@ -70,6 +70,14 @@ class TestContainer:
         with pytest.raises(FormatError, match="duplicate"):
             data_io.read_tensor_container(str(path))
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "junk.pgt")
+        data_io.write_tensor_container(path, {"x": np.ones(3)})
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        with pytest.raises(FormatError, match="4 trailing bytes"):
+            data_io.read_tensor_container(path)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.dictionaries(

@@ -136,7 +136,7 @@ class TestBatchNorm:
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(7)
-        bn = BatchNorm(2, momentum=0.9)
+        bn = BatchNorm(2)
         x = rng.standard_normal((4, 2, 3, 3)) + 5.0
         bn.forward(x, training=True)
         batch_mean = x.mean(axis=(0, 2, 3))
@@ -186,7 +186,7 @@ class TestAttention:
         """Step-by-step recomputation for C=4, T=2, M=2, N'=3."""
         rng = np.random.default_rng(11)
         B, C, T, M, Np = 1, 4, 2, 2, 3
-        att = STPAttention(C, M, Np, rng, reduction=4)
+        att = STPAttention(C, M, Np, rng)
         x = rng.standard_normal((B, C, T, M * Np))
         out = att.forward(x)
 
@@ -219,7 +219,7 @@ class TestAttention:
 
     def test_reduction_divisibility(self):
         with pytest.raises(ConfigError):
-            STPAttention(6, 2, 2, np.random.default_rng(0), reduction=4)
+            STPAttention(6, 2, 2, np.random.default_rng(0))
 
     def test_node_factorization(self):
         att = STPAttention(4, 2, 3, np.random.default_rng(0))

@@ -24,22 +24,24 @@ def random_streams(rng, cfg, B):
 
 class TestConfig:
     def test_default_channel_plan_consistent(self):
-        cfg = ModelConfig(12, 17, 2, 72, 9)
+        """Block input widths follow the output-width plan (2C, 4x fused, previous)."""
+        cfg = ModelConfig(2, 3, 0, 4, 5, in_channels=2)
         cfg.validate()
-        assert cfg.input_branch_channels[-1][1] * 4 == cfg.main_branch_channels[0][0]
+        model = MPGCN(cfg, gradcheck.tiny_adjacency(2, 3), np.random.default_rng(0))
+        widths = [
+            [blk.sgc._params["W0"].shape for blk in stack.blocks]
+            for stack in (model.branches[0], model.main)
+        ]
+        assert widths[0] == [(4, 64), (64, 64), (64, 32)]
+        assert widths[1] == [
+            (128, 128), (128, 128), (128, 128), (128, 256), (256, 256), (256, 256),
+        ]
+        assert [blk.stride for blk in model.main.blocks] == [1, 1, 1, 2, 1, 1]
 
     def test_scaled_plan(self):
         cfg = ModelConfig(3, 5, 1, 16, 8).scaled(4)
-        assert cfg.input_branch_channels == [(6, 16), (16, 16), (16, 8)]
-        assert cfg.main_branch_channels == [
-            (32, 32), (32, 32), (32, 32), (32, 64), (64, 64), (64, 64),
-        ]
-
-    def test_mismatched_fusion_rejected(self):
-        cfg = ModelConfig(2, 3, 0, 4, 5)
-        cfg.input_branch_channels = [(6, 64), (64, 64), (64, 16)]
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        assert cfg.input_branch_channels == [16, 16, 8]
+        assert cfg.main_branch_channels == [32, 32, 32, 64, 64, 64]
 
     def test_single_class_rejected(self):
         with pytest.raises(ConfigError):

@@ -273,6 +273,26 @@ class TestParseJsonl:
         with pytest.raises(InputError, match="line 1"):
             reassign.parse_jsonl(['{"t": 0, "id": 1}'], 2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("conf", float("nan")),
+            ("bbox", [float("inf"), 0.0, 40.0, 80.0]),
+            ("kpts", [[float("inf"), 0.0, 1.0], [0.0, 0.0, 1.0]]),
+        ],
+    )
+    def test_non_finite_field_line_numbered(self, field, value):
+        rec = json.loads(self.record())
+        rec[field] = value
+        with pytest.raises(InputError, match=f"line 2: non-finite value in '{field}'"):
+            reassign.parse_jsonl([self.record(), json.dumps(rec)], 2)
+
+    def test_short_bbox_line_numbered(self):
+        rec = json.loads(self.record())
+        rec["bbox"] = [1.0]
+        with pytest.raises(InputError, match="line 1: malformed"):
+            reassign.parse_jsonl([json.dumps(rec)], 2)
+
     def test_duplicate_ids_in_frame_rejected_on_validate(self):
         lines = [self.record(tid=5), self.record(tid=5)]
         frames = reassign.parse_jsonl(lines, 2)

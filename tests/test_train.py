@@ -1,9 +1,13 @@
 """Optimizer, schedule, metrics, and training-loop tests."""
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
 
 from panograph import gradcheck, train
-from panograph.errors import ConfigError, InputError, TrainingError
+from panograph.errors import ConfigError, FormatError, InputError, TrainingError
 from panograph.nn import MPGCN, cross_entropy
 from panograph.nn.core import Module
 from panograph.nn.model import STREAM_ORDER
@@ -299,6 +303,28 @@ class TestEvaluateAndCheckpoints:
         loaded, _ = train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"))
         batch = train.stack_batch(ds, [0], stats)
         assert np.array_equal(model.forward(batch), loaded.forward(batch))
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"tcn_dilations": [1, 2], "input_branch_channels": [[6, 16], [16, 16], [16, 8]]},
+             "unknown ['tcn_dilations']"),
+            ({"num_frames": None}, "missing ['num_frames']"),
+        ],
+    )
+    def test_checkpoint_sidecar_keys_must_match_config(self, tmp_path, change, named):
+        cfg, A, *_ = self.trained(tmp_path)
+        sidecar_path = tmp_path / "ckpt_final.pgt.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        assert sidecar == dataclasses.asdict(cfg)
+        for key, value in change.items():
+            if value is None:
+                del sidecar[key]
+            else:
+                sidecar[key] = value
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(FormatError, match=re.escape(named)):
+            train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"), A)
 
     def test_metrics_log_written(self, tmp_path):
         self.trained(tmp_path)
