@@ -228,10 +228,10 @@ def generate_sample(spec: SyntheticSpec, label: int, rng: np.random.Generator) -
                 )
             )
 
-        # ground-truth slot map: the two-stage rule over the emitted ids
+        # ground-truth slot map: the two-stage rule over the emitted player ids,
+        # which precede the distractors in the frame and never share their ids
         state.update(frame)
-        gt_frame = PoseFrame(t, [d for d in frame.detections if d.track_id in dict(
-            (tid, p) for p, tid in present)])
+        gt_frame = PoseFrame(t, frame.detections[: len(present)])
         assignment = reassign_frame(gt_frame, state, M) if gt_frame.detections else {}
         id_to_person = {tid: p for p, tid in present}
         for tid, slot in assignment.items():

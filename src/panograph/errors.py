@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolchain.
+"""Exception hierarchy shared across the toolchain, and the name-set check
+the checkpoint loaders share.
 
 CLI maps UsageError-like argparse failures to exit 2 and everything below
 to exit 1.
@@ -27,3 +28,10 @@ class ContractError(PanographError):
 
 class TrainingError(PanographError):
     """Non-finite gradients or otherwise broken optimization state."""
+
+
+def check_names(what: str, expected, actual) -> None:
+    """Raise FormatError listing the missing and unknown names unless the sets match."""
+    missing, unknown = sorted(set(expected) - set(actual)), sorted(set(actual) - set(expected))
+    if missing or unknown:
+        raise FormatError(f"{what} differ: missing {missing}, unknown {unknown}")

@@ -55,39 +55,51 @@ def _error(fd: float, analytic: float) -> float:
     return diff / max(abs(fd), abs(analytic))
 
 
+def _central_difference(
+    loss_fn: Callable[[], float], pieces: list[tuple[np.ndarray, np.ndarray]]
+) -> float:
+    """(L(θ + h·d) - L(θ - h·d)) / 2h, moving every flat view by its piece of d.
+
+    ``pieces`` pairs flat views of the probed tensors with their parts of the
+    direction d. The saved values are written back afterwards, so repeated
+    probes never drift.
+    """
+    saved = [flat.copy() for flat, _ in pieces]
+    for flat, d in pieces:
+        flat += H * d
+    lp = loss_fn()
+    for flat, d in pieces:
+        flat -= 2 * H * d
+    lm = loss_fn()
+    for (flat, _), orig in zip(pieces, saved):
+        flat[...] = orig
+    return (lp - lm) / (2 * H)
+
+
 def check_entrywise(
-    module: Module,
     loss_fn: Callable[[], float],
-    backward_fn: Callable[[], None],
+    tensors: list[tuple[str, np.ndarray, np.ndarray]],
     rng: np.random.Generator,
     max_entries: int | None = None,
-    h: float = H,
 ) -> dict[str, float]:
-    """Max relative FD error per parameter tensor, probing single entries.
+    """Max relative FD error per (name, tensor, analytic gradient) by single entries.
 
-    ``loss_fn`` runs forward only; ``backward_fn`` runs forward + backward
-    with gradients accumulated into the module.
+    A tensor with more than ``max_entries`` entries is probed at that many
+    entries drawn from ``rng``; otherwise every entry is probed.
     """
-    module.zero_grad()
-    backward_fn()
-    analytic = {name: g.copy() for name, g in module.named_grads()}
     errors = {}
-    for name, p in module.named_parameters():
-        flat = p.reshape(-1)
-        g = analytic[name].reshape(-1)
+    for name, tensor, grad in tensors:
+        flat = tensor.reshape(-1)
+        g = grad.reshape(-1)
         if max_entries is None or flat.size <= max_entries:
             indices = np.arange(flat.size)
         else:
             indices = rng.choice(flat.size, size=max_entries, replace=False)
         worst = 0.0
         for i in indices:
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_fn()
-            flat[i] = orig - h
-            lm = loss_fn()
-            flat[i] = orig
-            worst = max(worst, _error((lp - lm) / (2 * h), g[i]))
+            one_hot = np.zeros(flat.size)
+            one_hot[i] = 1.0
+            worst = max(worst, _error(_central_difference(loss_fn, [(flat, one_hot)]), g[i]))
         errors[name] = worst
     return errors
 
@@ -97,14 +109,15 @@ def check_directional(
     loss_fn: Callable[[], float],
     backward_fn: Callable[[], None],
     rng: np.random.Generator,
-    h: float = H,
     group_by_module: bool = False,
 ) -> dict[str, float]:
     """Random-direction FD checks covering every parameter.
 
-    One direction per parameter tensor by default; with
-    ``group_by_module`` a single direction spans all tensors of each leaf
-    module (two forward evaluations per group instead of per tensor).
+    ``loss_fn`` runs forward only; ``backward_fn`` runs forward + backward
+    with gradients accumulated into the module. One direction per parameter
+    tensor by default; with ``group_by_module`` a single direction spans all
+    tensors of each leaf module (two forward evaluations per group instead
+    of per tensor).
     """
     module.zero_grad()
     backward_fn()
@@ -118,38 +131,36 @@ def check_directional(
         groups = {name: [(name, p)] for name, p in params}
     errors = {}
     for gname, members in groups.items():
-        total = sum(p.size for _, p in members)
-        d = rng.standard_normal(total)
+        views = [p.reshape(-1) for _, p in members]
+        d = rng.standard_normal(sum(v.size for v in views))
         d /= np.linalg.norm(d)
-        pieces = {}
-        off = 0
-        for name, p in members:
-            pieces[name] = d[off : off + p.size]
-            p.reshape(-1)[...] += h * pieces[name]
-            off += p.size
-        lp = loss_fn()
-        for name, p in members:
-            p.reshape(-1)[...] -= 2 * h * pieces[name]
-        lm = loss_fn()
-        for name, p in members:
-            p.reshape(-1)[...] += h * pieces[name]
-        fd = (lp - lm) / (2 * h)
-        dot = sum(float(analytic[name].reshape(-1) @ pieces[name]) for name, _ in members)
+        parts = np.split(d, np.cumsum([v.size for v in views])[:-1])
+        fd = _central_difference(loss_fn, list(zip(views, parts)))
+        dot = sum(float(analytic[name].reshape(-1) @ part) for (name, _), part in zip(members, parts))
         errors[gname] = _error(fd, dot)
     return errors
 
 
-def _probe_loss(module: Module, x: np.ndarray, probe: np.ndarray):
-    """Linear readout of a layer's output so the loss is scalar but generic."""
+def check_layer(
+    module: Module, x: np.ndarray, rng: np.random.Generator, max_entries: int | None = 6
+) -> dict[str, float]:
+    """Entrywise FD errors of one layer's parameters and of its input ``x``.
 
-    def loss_fn() -> float:
-        return float((module.forward(x, training=True) * probe).sum())
-
-    def backward_fn() -> None:
-        module.forward(x, training=True)
-        module.backward(probe)
-
-    return loss_fn, backward_fn
+    The loss is a random linear readout of the output, so it is scalar for
+    any layer; kinks are frozen at the first forward pass. The input's
+    error is keyed ``"input"``.
+    """
+    y = module.forward(x, training=True)
+    freeze_kinks(module)
+    probe = rng.standard_normal(y.shape)
+    module.zero_grad()
+    gx = module.backward(probe)
+    grads = dict(module.named_grads())
+    tensors = [(name, p, grads[name].copy()) for name, p in module.named_parameters()]
+    tensors.append(("input", x, gx))
+    return check_entrywise(
+        lambda: float((module.forward(x, training=True) * probe).sum()), tensors, rng, max_entries
+    )
 
 
 def tiny_adjacency(num_persons=2, num_joints=3):
@@ -158,79 +169,36 @@ def tiny_adjacency(num_persons=2, num_joints=3):
 
 
 def layer_suite(seed: int) -> dict[str, float]:
-    """Entrywise FD errors for every layer type in isolation."""
+    """Entrywise FD errors for every layer type in isolation.
+
+    Each layer reports its worst parameter error under its own name and its
+    input error under ``<name>.input``.
+    """
     rng = np.random.default_rng(seed)
     B, T, M, Np = 2, 5, 2, 3
     N = M * Np
     A = tiny_adjacency(M, Np)
     results: dict[str, float] = {}
 
-    def run(name: str, module: Module, cin: int, tweak=None):
-        x = rng.standard_normal((B, cin, T, N))
-        y = module.forward(x, training=True)
-        freeze_kinks(module)
-        probe = rng.standard_normal(y.shape)
-        if tweak:
-            tweak(module)
-        loss_fn, backward_fn = _probe_loss(module, x, probe)
-        errs = check_entrywise(module, loss_fn, backward_fn, rng, max_entries=6)
-        results[name] = max(errs.values()) if errs else 0.0
-        # input gradient against FD as well
-        module.zero_grad()
-        backward_fn()
-        gx = module.backward(probe)
-        flat = x.reshape(-1)
-        worst = 0.0
-        for i in rng.choice(flat.size, size=6, replace=False):
-            orig = flat[i]
-            flat[i] = orig + H
-            lp = loss_fn()
-            flat[i] = orig - H
-            lm = loss_fn()
-            flat[i] = orig
-            worst = max(worst, _error((lp - lm) / (2 * H), gx.reshape(-1)[i]))
-        results[name + ".input"] = worst
+    def run(name: str, module: Module, x_shape: tuple[int, ...], max_entries=6, shift=0.0):
+        x = rng.standard_normal(x_shape) + shift
+        errs = check_layer(module, x, rng, max_entries)
+        results[name + ".input"] = errs.pop("input")
+        if errs:
+            results[name] = max(errs.values())
 
-    run("sgc", SpatialGraphConv(4, 3, A, rng), 4)
-    run("conv1x1", Conv1x1(4, 3, rng), 4)
-    run("conv1x1_strided", Conv1x1(4, 3, rng, stride=2), 4)
-    run("tconv_d1", TemporalConv(3, 4, rng, dilation=1), 3)
-    run("tconv_d2_s2", TemporalConv(3, 4, rng, dilation=2, stride=2), 3)
-    run("maxpool", MaxPoolT(stride=2), 4)
-    run("batchnorm", BatchNorm(4), 4)
-    run("attention", STPAttention(8, M, Np, rng), 8)
-    run("mstcn", MultiScaleTCN(4, 8, rng, stride=2), 4)
-    run("basic_block", BasicBlock(4, 8, A, M, Np, rng, stride=2), 4)
-
-    lin = Linear(6, 3, rng)
-    xl = rng.standard_normal((B, 6))
-    probe = rng.standard_normal((B, 3))
-    loss_fn = lambda: float((lin.forward(xl) * probe).sum())
-
-    def backward_fn():
-        lin.forward(xl)
-        lin.backward(probe)
-
-    errs = check_entrywise(lin, loss_fn, backward_fn, rng)
-    results["linear"] = max(errs.values())
-
-    relu = ReLU()
-    xr = rng.standard_normal((B, 4, T, N)) + 0.1
-    pr = rng.standard_normal(xr.shape)
-    relu.forward(xr)
-    freeze_kinks(relu)
-    gx = relu.backward(pr)
-    fd_ok = 0.0
-    flatx = xr.reshape(-1)
-    for i in rng.choice(flatx.size, size=6, replace=False):
-        orig = flatx[i]
-        flatx[i] = orig + H
-        lp = float((relu.forward(xr) * pr).sum())
-        flatx[i] = orig - H
-        lm = float((relu.forward(xr) * pr).sum())
-        flatx[i] = orig
-        fd_ok = max(fd_ok, _error((lp - lm) / (2 * H), gx.reshape(-1)[i]))
-    results["relu.input"] = fd_ok
+    run("sgc", SpatialGraphConv(4, 3, A, rng), (B, 4, T, N))
+    run("conv1x1", Conv1x1(4, 3, rng), (B, 4, T, N))
+    run("conv1x1_strided", Conv1x1(4, 3, rng, stride=2), (B, 4, T, N))
+    run("tconv_d1", TemporalConv(3, 4, rng, dilation=1), (B, 3, T, N))
+    run("tconv_d2_s2", TemporalConv(3, 4, rng, dilation=2, stride=2), (B, 3, T, N))
+    run("maxpool", MaxPoolT(stride=2), (B, 4, T, N))
+    run("batchnorm", BatchNorm(4), (B, 4, T, N))
+    run("attention", STPAttention(8, M, Np, rng), (B, 8, T, N))
+    run("mstcn", MultiScaleTCN(4, 8, rng, stride=2), (B, 4, T, N))
+    run("basic_block", BasicBlock(4, 8, A, M, Np, rng, stride=2), (B, 4, T, N))
+    run("linear", Linear(6, 3, rng), (B, 6), max_entries=None)
+    run("relu", ReLU(), (B, 4, T, N), shift=0.1)
     return results
 
 

@@ -6,7 +6,7 @@ intra-person connections, and inter-person connections.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class GraphTopology:
     inter_edges: list[tuple[int, int]] = field(default_factory=list)
     object_attachments: list[tuple[int, int]] = field(default_factory=list)
     center_joints: tuple[int, ...] = ()
-    layout: str = "chain"
 
     @property
     def nodes_per_person(self) -> int:
@@ -93,21 +92,7 @@ def build_intra_topology(layout: str, num_joints: int) -> list[tuple[int, int]]:
     raise ConfigError(f"unknown skeleton layout {layout!r}")
 
 
-def center_joints_for(layout: str, num_joints: int) -> tuple[int, ...]:
-    if layout == "coco17":
-        return COCO17_CENTER_JOINTS
-    return (num_joints // 2,)
-
-
-def default_attachments(layout: str, num_joints: int, num_objects: int) -> list[tuple[int, int]]:
-    """Attach every object slot to both wrists (coco17) or the end joints (chain)."""
-    if num_objects == 0:
-        return []
-    if layout == "coco17":
-        joints = COCO17_WRISTS
-    else:
-        joints = (0, num_joints - 1) if num_joints > 1 else (0,)
-    return [(slot, j) for slot in range(num_objects) for j in joints]
+INTER_VARIANTS = ("none", "fully-connected", "linear", "pairwise")
 
 
 def build_topology(
@@ -115,103 +100,51 @@ def build_topology(
     num_persons: int,
     num_joints: int,
     num_objects: int = 0,
-    attachments: list[tuple[int, int]] | None = None,
     inter_variant: str = "pairwise",
 ) -> GraphTopology:
-    """Assemble the full panoramic topology in one call."""
+    """Assemble the panoramic topology: M copies of one person-object unit.
+
+    The unit is the layout's limbs plus one edge from every object slot to
+    each object-holding joint (both wrists for coco17, both ends of a
+    chain); person p's copy is offset by p * (num_joints + num_objects).
+    Inter-person links join two persons' center joints and same-slot
+    object nodes: ``pairwise``/``fully-connected`` link every unordered
+    pair of persons (the two coincide for a complete pair enumeration),
+    ``linear`` consecutive persons only, and ``none`` no persons.
+    """
     if num_persons < 1:
         raise ConfigError("need at least one person")
-    base = build_intra_topology(layout, num_joints)
-    topo = GraphTopology(
-        num_persons=num_persons,
-        joints_per_person=num_joints,
-        intra_edges=_replicate(base, num_persons, num_joints),
-        center_joints=center_joints_for(layout, num_joints),
-        layout=layout,
-    )
-    if attachments is None:
-        attachments = default_attachments(layout, num_joints, num_objects)
-    topo = attach_objects(topo, num_objects, attachments)
-    topo.inter_edges = build_inter_edges(topo, inter_variant)
-    topo.validate()
-    return topo
-
-
-def _replicate(edges: list[tuple[int, int]], num_persons: int, nodes_per_person: int) -> list[tuple[int, int]]:
-    out = []
-    for p in range(num_persons):
-        off = p * nodes_per_person
-        out.extend((i + off, j + off) for i, j in edges)
-    return out
-
-
-def attach_objects(
-    topology: GraphTopology, num_objects: int, attachments: list[tuple[int, int]]
-) -> GraphTopology:
-    """Extend every person block with per-person object nodes.
-
-    Each (slot, joint) attachment adds one intra edge per person between the
-    object node and that joint. Returns a new topology; the input is not
-    modified.
-    """
-    if num_objects == 0 and not attachments:
-        return replace(topology)
-    old_np = topology.nodes_per_person
-    V = topology.joints_per_person
-    new_np = V + topology.object_keypoints + num_objects
-    for slot, joint in attachments:
-        if not 0 <= joint < V:
-            raise ConfigError(f"attachment joint {joint} out of range for V={V}")
-        if not 0 <= slot < num_objects:
-            raise ConfigError(f"object slot {slot} out of range for n={num_objects}")
-
-    def remap(idx: int) -> int:
-        p, local = divmod(idx, old_np)
-        return p * new_np + local
-
-    intra = [(remap(i), remap(j)) for i, j in topology.intra_edges]
-    base_obj = V + topology.object_keypoints
-    for p in range(topology.num_persons):
-        off = p * new_np
-        for slot, joint in attachments:
-            intra.append((off + base_obj + slot, off + joint))
-    return replace(
-        topology,
-        object_keypoints=topology.object_keypoints + num_objects,
-        intra_edges=intra,
-        inter_edges=[(remap(i), remap(j)) for i, j in topology.inter_edges],
-        object_attachments=topology.object_attachments + list(attachments),
-    )
-
-
-INTER_VARIANTS = ("none", "fully-connected", "linear", "pairwise")
-
-
-def build_inter_edges(topology: GraphTopology, variant: str = "pairwise") -> list[tuple[int, int]]:
-    """Links between person-object units.
-
-    ``pairwise``/``fully-connected`` join every unordered pair of persons at
-    their center joints and object nodes (the two variants coincide for a
-    complete pair enumeration); ``linear`` joins consecutive persons only;
-    ``none`` returns no links. Objects connect object-to-object per slot.
-    """
-    if variant not in INTER_VARIANTS:
-        raise ConfigError(f"unknown inter-body variant {variant!r}")
-    if variant == "none":
-        return []
-    M = topology.num_persons
-    npp = topology.nodes_per_person
-    V = topology.joints_per_person
-    if variant == "linear":
+    if num_objects < 0:
+        raise ConfigError(f"object count must be >= 0, got {num_objects}")
+    limbs = build_intra_topology(layout, num_joints)
+    if layout == "coco17":
+        centers, holders = COCO17_CENTER_JOINTS, COCO17_WRISTS
+    else:
+        ends = (0, num_joints - 1) if num_joints > 1 else (0,)
+        centers, holders = (num_joints // 2,), ends
+    if inter_variant not in INTER_VARIANTS:
+        raise ConfigError(f"unknown inter-body variant {inter_variant!r}")
+    M, npp = num_persons, num_joints + num_objects
+    if inter_variant == "none":
+        pairs = []
+    elif inter_variant == "linear":
         pairs = [(p, p + 1) for p in range(M - 1)]
     else:
         pairs = [(p, q) for p in range(M) for q in range(p + 1, M)]
-    endpoints = list(topology.center_joints) + [V + s for s in range(topology.object_keypoints)]
-    edges = []
-    for p, q in pairs:
-        for e in endpoints:
-            edges.append((p * npp + e, q * npp + e))
-    return edges
+    attachments = [(slot, joint) for slot in range(num_objects) for joint in holders]
+    unit = limbs + [(num_joints + slot, joint) for slot, joint in attachments]
+    endpoints = list(centers) + [num_joints + slot for slot in range(num_objects)]
+    topo = GraphTopology(
+        num_persons=M,
+        joints_per_person=num_joints,
+        object_keypoints=num_objects,
+        intra_edges=[(i + p * npp, j + p * npp) for p in range(M) for i, j in unit],
+        inter_edges=[(p * npp + e, q * npp + e) for p, q in pairs for e in endpoints],
+        object_attachments=attachments,
+        center_joints=centers,
+    )
+    topo.validate()
+    return topo
 
 
 @dataclass

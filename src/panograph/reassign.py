@@ -46,24 +46,26 @@ class TrackState:
     """Running center-trajectory statistics per track id.
 
     Keeps only length and first/second moments so the spread of Eq-style
-    population std can be computed in O(1) per query.
+    population std can be computed in O(1) per query. The moments are of
+    each center minus the track's first center: the spread does not change
+    under a shift, and small offsets keep E[x^2] - mean^2 from cancelling
+    when a track sits far from the origin.
     """
 
     def __init__(self):
         self._stats: dict[int, list[float]] = {}  # id -> [t, sx, sy, sxx, syy]
+        self._origin: dict[int, tuple[float, float]] = {}  # id -> first center
 
     def update(self, frame: PoseFrame) -> None:
         for d in frame.detections:
-            x, y = d.bbox_center
+            x0, y0 = self._origin.setdefault(d.track_id, d.bbox_center)
+            x, y = d.bbox_center[0] - x0, d.bbox_center[1] - y0
             s = self._stats.setdefault(d.track_id, [0, 0.0, 0.0, 0.0, 0.0])
             s[0] += 1
             s[1] += x
             s[2] += y
             s[3] += x * x
             s[4] += y * y
-
-    def length(self, track_id: int) -> int:
-        return self._stats[track_id][0] if track_id in self._stats else 0
 
     def spread(self, track_id: int) -> float:
         return trajectory_spread(self._stats[track_id])

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data_io
-from .errors import ConfigError, FormatError, InputError, TrainingError
+from . import data_io, graph
+from .errors import ConfigError, FormatError, InputError, TrainingError, check_names
 from .nn import MPGCN, ModelConfig, cross_entropy, softmax
 from .nn.model import STREAM_ORDER
 
@@ -276,36 +276,38 @@ def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict 
 
 
 def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPGCN, dict]:
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
+    """Rebuild a saved model and its normalisation stats; errors name the file."""
+    try:
+        with open(path + ".json") as fh:
+            sidecar = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}.json: cannot read checkpoint config ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}.json: malformed checkpoint config ({exc})") from exc
+    if not isinstance(sidecar, dict):
+        raise FormatError(f"{path}.json: checkpoint config is not a JSON object")
     info = sidecar.pop("graph", None)
-    expected = {f.name for f in dataclasses.fields(ModelConfig)}
-    keys = set(sidecar)
-    if keys != expected:
-        raise FormatError(
-            f"{path}.json: config keys differ from ModelConfig: "
-            f"missing {sorted(expected - keys)}, unknown {sorted(keys - expected)}"
-        )
+    check_names(f"{path}.json: config keys", [f.name for f in dataclasses.fields(ModelConfig)], sidecar)
     cfg = ModelConfig(**sidecar)
     if adjacency is None:
         if info is None:
             raise InputError(f"{path}: checkpoint carries no graph info; pass an adjacency")
-        from . import graph as graph_mod
-
-        topo = graph_mod.build_topology(
-            info["layout"],
-            cfg.num_persons,
-            cfg.joints_per_person,
-            cfg.object_keypoints,
-            inter_variant=info.get("inter_variant", "pairwise"),
-        )
-        adjacency = graph_mod.partition_and_normalize(topo).A_hat
-    tensors = data_io.read_tensor_container(path)
+        topo = graph.build_topology(info["layout"], cfg.num_persons, cfg.joints_per_person,
+                                    cfg.object_keypoints, info.get("inter_variant", "pairwise"))
+        adjacency = graph.partition_and_normalize(topo).A_hat
+    try:
+        tensors = data_io.read_tensor_container(path)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read checkpoint ({exc.strerror})") from exc
     model = MPGCN(cfg, adjacency, np.random.default_rng(0))
     params = {k[len("param."):]: v for k, v in tensors.items() if k.startswith("param.")}
     buffers = {k[len("buffer."):]: v for k, v in tensors.items() if k.startswith("buffer.")}
-    model.load_state(params, buffers)
-    norm_stats = {}
-    for key in STREAM_ORDER:
-        norm_stats[key] = (tensors[f"norm.{key}.mean"], tensors[f"norm.{key}.std"])
+    norm = [f"norm.{key}.{stat}" for key in STREAM_ORDER for stat in ("mean", "std")]
+    rest = [k for k in tensors if not k.startswith(("param.", "buffer."))]
+    check_names(f"{path}: normalisation entries", norm, rest)
+    try:
+        model.load_state(params, buffers)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    norm_stats = {key: (tensors[f"norm.{key}.mean"], tensors[f"norm.{key}.std"]) for key in STREAM_ORDER}
     return model, norm_stats

@@ -158,6 +158,19 @@ class TestEval:
         fused = json.loads(capsys.readouterr().out)
         assert single == fused
 
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_broken_checkpoint_config_exits_1(self, pipeline, tmp_path, capsys, damage):
+        _, data, out = pipeline
+        ckpt = str(tmp_path / "ckpt.pgt")
+        with open(os.path.join(out, "ckpt_final.pgt"), "rb") as src:
+            (tmp_path / "ckpt.pgt").write_bytes(src.read())
+        if damage == "truncated":
+            with open(os.path.join(out, "ckpt_final.pgt.json")) as src:
+                (tmp_path / "ckpt.pgt.json").write_text(src.read()[:40])
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}.json") and "Traceback" not in err
+
     def test_two_checkpoints_without_fuse_exits_1(self, pipeline, capsys):
         _, data, out = pipeline
         ckpt = os.path.join(out, "ckpt_final.pgt")

@@ -69,10 +69,9 @@ class TestObjects:
         assert base.object_keypoints == 0
         assert base.object_attachments == []
 
-    def test_attachment_out_of_range(self):
-        topo = graph.GraphTopology(num_persons=1, joints_per_person=3)
+    def test_negative_object_count_rejected(self):
         with pytest.raises(ConfigError):
-            graph.attach_objects(topo, 1, [(0, 7)])
+            graph.build_topology("chain", 1, 1, num_objects=-1)
 
 
 class TestInterEdges:
@@ -170,14 +169,23 @@ class TestValidation:
             topo.validate()
 
 
-random_topologies = st.builds(
-    graph.build_topology,
-    st.just("chain"),
-    st.integers(1, 4),
-    st.integers(1, 8),
-    st.integers(0, 2),
-    st.none(),
-    st.sampled_from(graph.INTER_VARIANTS),
+random_topologies = st.one_of(
+    st.builds(
+        graph.build_topology,
+        st.just("chain"),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(0, 2),
+        st.sampled_from(graph.INTER_VARIANTS),
+    ),
+    st.builds(
+        graph.build_topology,
+        st.just("coco17"),
+        st.integers(1, 4),
+        st.just(17),
+        st.integers(0, 2),
+        st.sampled_from(graph.INTER_VARIANTS),
+    ),
 )
 
 

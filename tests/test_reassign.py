@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from panograph import reassign
 from panograph.errors import ConfigError, InputError
@@ -74,13 +74,14 @@ class TestSpread:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)), min_size=1, max_size=40))
+    @example([(0, 7852), (0, 7853), (0, 7854)])
     def test_running_sums_match_two_pass(self, points):
+        state = reassign.TrackState()
+        for t, (x, y) in enumerate(points):
+            state.update(reassign.PoseFrame(t, [reassign.Detection(1, 1.0, np.zeros((2, 3)), (x, y))]))
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
-        stats = [len(xs), sum(xs), sum(ys), sum(x * x for x in xs), sum(y * y for y in ys)]
-        assert reassign.trajectory_spread(stats) == pytest.approx(
-            two_pass_spread(xs, ys), abs=1e-9, rel=1e-9
-        )
+        assert state.spread(1) == pytest.approx(two_pass_spread(xs, ys), abs=1e-9, rel=1e-9)
 
 
 class TestActiveness:

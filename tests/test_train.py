@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from panograph import gradcheck, train
+from panograph import data_io, gradcheck, train
 from panograph.errors import ConfigError, FormatError, InputError, TrainingError
 from panograph.nn import MPGCN, cross_entropy
 from panograph.nn.core import Module
@@ -325,6 +325,60 @@ class TestEvaluateAndCheckpoints:
         sidecar_path.write_text(json.dumps(sidecar))
         with pytest.raises(FormatError, match=re.escape(named)):
             train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"), A)
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda t: t.pop("param.branch0.block0.sgc.W0"),
+             "parameter names differ: missing ['branch0.block0.sgc.W0'], unknown []"),
+            (lambda t: t.update({"param.branch0.block0.res1.b": np.zeros(1)}),
+             "parameter 'branch0.block0.res1.b' has shape (1,), expected (16,)"),
+            (lambda t: t.update({"param.extra.w": np.zeros(2)}),
+             "parameter names differ: missing [], unknown ['extra.w']"),
+            (lambda t: t.pop("buffer.branch0.block0.bn1.running_var"),
+             "buffer names differ: missing ['branch0.block0.bn1.running_var']"),
+            (lambda t: t.pop("norm.joint.mean"), "missing ['norm.joint.mean'], unknown []"),
+            (lambda t: t.update({"junk": np.zeros(1)}), "missing [], unknown ['junk']"),
+        ],
+        ids=["missing_param", "wrong_shape", "unknown_param", "missing_buffer", "missing_norm", "unknown_entry"],
+    )
+    def test_checkpoint_tensors_must_match_model(self, tmp_path, mutate, named):
+        _, A, *_ = self.trained(tmp_path)
+        path = str(tmp_path / "ckpt_final.pgt")
+        tensors = data_io.read_tensor_container(path)
+        mutate(tensors)
+        data_io.write_tensor_container(path, tensors)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(named)):
+            train.load_checkpoint(path, A)
+
+    def test_load_state_leaves_module_unchanged_on_mismatch(self):
+        cfg, A = tiny_setup()
+        model = MPGCN(cfg, A, np.random.default_rng(0))
+        before = {name: p.copy() for name, p in model.named_parameters()}
+        params = {name: np.ones_like(p) for name, p in before.items()}
+        buffers = {name: b.copy() for name, b in model.named_buffers()}
+        buffers.popitem()
+        with pytest.raises(FormatError, match="buffer names differ"):
+            model.load_state(params, buffers)
+        assert all(np.array_equal(p, before[name]) for name, p in model.named_parameters())
+
+    def test_checkpoint_config_missing_or_truncated(self, tmp_path):
+        _, A, *_ = self.trained(tmp_path)
+        path = str(tmp_path / "ckpt_final.pgt")
+        text = (tmp_path / "ckpt_final.pgt.json").read_text()
+        (tmp_path / "ckpt_final.pgt.json").write_text(text[: len(text) // 2])
+        with pytest.raises(FormatError, match=re.escape(f"{path}.json: malformed")):
+            train.load_checkpoint(path, A)
+        (tmp_path / "ckpt_final.pgt.json").unlink()
+        with pytest.raises(InputError, match=re.escape(f"{path}.json: cannot read")):
+            train.load_checkpoint(path, A)
+
+    def test_checkpoint_container_missing(self, tmp_path):
+        _, A, *_ = self.trained(tmp_path)
+        path = str(tmp_path / "ckpt_final.pgt")
+        (tmp_path / "ckpt_final.pgt").unlink()
+        with pytest.raises(InputError, match=re.escape(f"{path}: cannot read")):
+            train.load_checkpoint(path, A)
 
     def test_metrics_log_written(self, tmp_path):
         self.trained(tmp_path)
