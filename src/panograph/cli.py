@@ -197,15 +197,12 @@ def cmd_eval(args) -> int:
     ds = _load_dataset(args.data, manifest)
     loaded = [train.load_checkpoint(path) for path in args.ckpt]
     result = train.evaluate(ds, loaded, fuse=args.fuse)
-    print(
-        json.dumps(
-            {
-                "mca": result["mca"],
-                "mpca": result["mpca"],
-                "confusion": result["confusion"].tolist(),
-            }
-        )
-    )
+
+    def summary(metrics: dict) -> dict:
+        return {"mca": metrics["mca"], "mpca": metrics["mpca"], "confusion": metrics["confusion"].tolist()}
+
+    val = result["val"]
+    print(json.dumps({**summary(result), "val": summary(val) if val is not None else None}))
     return 0
 
 

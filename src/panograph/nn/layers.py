@@ -42,7 +42,7 @@ class Conv1x1(Module):
         B, O, T, N = grad_out.shape
         g2 = grad_out.reshape(B, O, T * N)
         x2 = self._x.reshape(B, -1, T * N)
-        self._grads["w"] += np.einsum("bol,bcl->oc", g2, x2)
+        self._grads["w"] += np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0)
         self._grads["b"] += grad_out.sum(axis=(0, 2, 3))
         gx = (self.w.T @ g2).reshape(B, -1, T, N)
         if self.stride > 1:
@@ -93,7 +93,7 @@ class TemporalConv(Module):
         xw2, T, T_out, pad, idx = self._cache
         B, O, _, N = grad_out.shape
         g2 = grad_out.reshape(B, O, T_out * N)
-        self._grads["w"] += np.einsum("bol,bkl->ok", g2, xw2).reshape(self.w.shape)
+        self._grads["w"] += np.matmul(g2, xw2.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
         self._grads["b"] += grad_out.sum(axis=(0, 2, 3))
         gxw = (self.w.reshape(O, -1).T @ g2).reshape(B, -1, self.kernel, T_out, N)
         gxp = np.zeros((B, gxw.shape[1], T + 2 * pad, N), dtype=grad_out.dtype)
@@ -207,31 +207,27 @@ class SpatialGraphConv(Module):
         self._x = x
         self._z = []
         B, C, T, N = x.shape
+        x2 = x.reshape(-1, N)
         out = None
         for k in range(self.K):
             mk = self._params[f"E{k}"] * self.adjacency[k]
-            z = x @ mk.T  # (B, C, T, N): aggregate neighbors per frame
+            z = (x2 @ mk.T).reshape(B, C, T * N)  # aggregate neighbours, one gemm
             self._z.append(z)
-            wk = self._params[f"W{k}"]
-            term = (wk.T @ z.reshape(B, C, T * N)).reshape(B, -1, T, N)
+            term = self._params[f"W{k}"].T @ z
             out = term if out is None else out + term
-        return out
+        return out.reshape(B, -1, T, N)
 
     def backward(self, grad_out):
         B, C, T, N = self._x.shape
-        gx = np.zeros_like(self._x)
+        x2 = self._x.reshape(-1, N)
+        gx = np.zeros_like(x2)
         g2 = grad_out.reshape(B, -1, T * N)
-        x2 = self._x.reshape(B, C, T * N)
         for k in range(self.K):
-            wk = self._params[f"W{k}"]
-            z2 = self._z[k].reshape(B, C, T * N)
-            self._grads[f"W{k}"] += np.einsum("bcl,bol->co", z2, g2)
-            gz = (wk @ g2).reshape(B, C, T, N)
-            gm = np.einsum("bctl,bctj->lj", gz, self._x)
-            self._grads[f"E{k}"] += gm * self.adjacency[k]
-            mk = self._params[f"E{k}"] * self.adjacency[k]
-            gx += gz @ mk
-        return gx
+            self._grads[f"W{k}"] += np.matmul(self._z[k], g2.transpose(0, 2, 1)).sum(axis=0)
+            gz = (self._params[f"W{k}"] @ g2).reshape(-1, N)
+            self._grads[f"E{k}"] += (gz.T @ x2) * self.adjacency[k]
+            gx += gz @ (self._params[f"E{k}"] * self.adjacency[k])
+        return gx.reshape(B, C, T, N)
 
 
 class Linear(Module):
@@ -289,11 +285,11 @@ class STPAttention(Module):
         person = np.add.reduce(x5, axis=(2, 4)) / (T * Np)  # (B, C, M)
         frame = np.add.reduce(x, axis=3) / N  # (B, C, T)
         z = np.concatenate([person, frame], axis=2)  # (B, C, M+T)
-        pre = np.einsum("rc,bcl->brl", self.w1, z) + self.b1[None, :, None]
+        pre = self.w1 @ z + self.b1[None, :, None]
         if not getattr(self, "_freeze_kinks", False):
             self._relu_mask = pre > 0.0
         h = pre * self._relu_mask
-        u = np.einsum("r,brl->bl", self.w2, h) + self.b2
+        u = self.w2 @ h + self.b2
         person_score = _sigmoid(u[:, :M])  # (B, M)
         frame_score = _sigmoid(u[:, M:])  # (B, T)
         att = frame_score[:, :, None] * person_score[:, None, :]  # (B, T, M)
@@ -310,13 +306,13 @@ class STPAttention(Module):
         gfs = (gatt * ps[:, None, :]).sum(axis=2)
         gps = (gatt * fs[:, :, None]).sum(axis=1)
         gu = np.concatenate([gps * ps * (1 - ps), gfs * fs * (1 - fs)], axis=1)
-        self._grads["w2"] += np.einsum("bl,brl->r", gu, h)
+        self._grads["w2"] += np.matmul(h, gu[:, :, None]).sum(axis=0)[:, 0]
         self._grads["b2"] += gu.sum(keepdims=True).reshape(1)
         gh = gu[:, None, :] * self.w2[None, :, None]
         gh = gh * self._relu_mask
-        self._grads["w1"] += np.einsum("brl,bcl->rc", gh, z)
+        self._grads["w1"] += np.matmul(gh, z.transpose(0, 2, 1)).sum(axis=0)
         self._grads["b1"] += gh.sum(axis=(0, 2))
-        gz = np.einsum("rc,brl->bcl", self.w1, gh)
+        gz = self.w1.T @ gh
         gperson, gframe = gz[:, :, :M], gz[:, :, M:]
         gx5 += gperson[:, :, None, :, None] / (T * Np)
         gx5 += gframe[:, :, :, None, None] / (M * Np)

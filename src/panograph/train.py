@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 import zlib
 from dataclasses import dataclass
 
@@ -74,6 +75,11 @@ class SGDNesterov:
 def is_validation_index(index: int) -> bool:
     """Deterministic 80/20 split keyed by a hash of the sample index."""
     return zlib.crc32(f"sample-{index}".encode()) % 5 == 0
+
+
+def validation_mask(n: int) -> np.ndarray:
+    """is_validation_index over the first n samples, as a boolean mask."""
+    return np.array([is_validation_index(i) for i in range(n)], dtype=bool)
 
 
 @dataclass
@@ -150,8 +156,8 @@ def train_loop(
 
     all_idx = np.arange(len(ds))
     if use_validation:
-        val_idx = np.array([i for i in all_idx if is_validation_index(i)], dtype=int)
-        train_idx = np.array([i for i in all_idx if not is_validation_index(i)], dtype=int)
+        val = validation_mask(len(ds))
+        val_idx, train_idx = all_idx[val], all_idx[~val]
         if len(train_idx) == 0 or len(val_idx) == 0:
             train_idx, val_idx = all_idx, all_idx
     else:
@@ -235,7 +241,9 @@ def evaluate(
     fuse: bool = False,
     batch_size: int = 16,
 ) -> dict:
-    """MCA/MPCA/confusion for one model, or late fusion over several.
+    """MCA/MPCA/confusion for one model, or late fusion over several, over
+    every sample; ``"val"`` holds the same metrics over the validation split
+    (None when it is empty).
 
     Fusion averages softmax scores across checkpoints before the argmax;
     ties already resolve to the smallest class index.
@@ -255,7 +263,11 @@ def evaluate(
     for model, stats in models_and_stats:
         total += predict_scores(model, ds, indices, stats, batch_size)
     total /= len(models_and_stats)
-    return metrics_from_predictions(total.argmax(axis=1), ds.labels, num_classes)
+    pred = total.argmax(axis=1)
+    result = metrics_from_predictions(pred, ds.labels, num_classes)
+    val = validation_mask(len(ds))
+    result["val"] = metrics_from_predictions(pred[val], ds.labels[val], num_classes) if val.any() else None
+    return result
 
 
 def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict | None = None) -> None:
@@ -275,6 +287,30 @@ def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict 
         json.dump(sidecar, fh, indent=1)
 
 
+def _has_type(value, hint) -> bool:
+    """value fits the type hint: bool is not an int, and list[X] checks every item."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, typing.get_args(hint)[0]) for v in value)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
+def _check_sidecar(path: str, fields: dict, info) -> None:
+    """Reject config keys, field types or a graph entry a ModelConfig cannot come from."""
+    hints = typing.get_type_hints(ModelConfig)
+    check_names(f"{path}.json: config keys", [f.name for f in dataclasses.fields(ModelConfig)], fields)
+    for name, value in fields.items():
+        hint = hints[name]
+        if not _has_type(value, hint):
+            label = str(hint) if typing.get_origin(hint) else hint.__name__
+            raise FormatError(f"{path}.json: {name} must be {label}, got {value!r}")
+    if info is not None and not (
+        isinstance(info, dict) and set(info) <= {"layout", "inter_variant"}
+        and isinstance(info.get("layout"), str) and isinstance(info.get("inter_variant", ""), str)
+    ):
+        raise FormatError(f"{path}.json: graph must be an object with a string layout and an "
+                          f"optional string inter_variant, got {info!r}")
+
+
 def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPGCN, dict]:
     """Rebuild a saved model and its normalisation stats; errors name the file."""
     try:
@@ -287,13 +323,16 @@ def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPG
     if not isinstance(sidecar, dict):
         raise FormatError(f"{path}.json: checkpoint config is not a JSON object")
     info = sidecar.pop("graph", None)
-    check_names(f"{path}.json: config keys", [f.name for f in dataclasses.fields(ModelConfig)], sidecar)
+    _check_sidecar(path, sidecar, info)
     cfg = ModelConfig(**sidecar)
     if adjacency is None:
         if info is None:
             raise InputError(f"{path}: checkpoint carries no graph info; pass an adjacency")
-        topo = graph.build_topology(info["layout"], cfg.num_persons, cfg.joints_per_person,
-                                    cfg.object_keypoints, info.get("inter_variant", "pairwise"))
+        try:
+            topo = graph.build_topology(info["layout"], cfg.num_persons, cfg.joints_per_person,
+                                        cfg.object_keypoints, info.get("inter_variant", "pairwise"))
+        except ConfigError as exc:
+            raise FormatError(f"{path}.json: graph: {exc}") from exc
         adjacency = graph.partition_and_normalize(topo).A_hat
     try:
         tensors = data_io.read_tensor_container(path)

@@ -1,11 +1,12 @@
 """CLI pipeline tests (in-process via cli.main)."""
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from panograph import cli, data_io
+from panograph import cli, data_io, train
 from panograph.errors import ConfigError
 
 
@@ -146,7 +147,7 @@ class TestEval:
         ckpt = os.path.join(out, "ckpt_final.pgt")
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 0
         result = json.loads(capsys.readouterr().out)
-        assert set(result) == {"mca", "mpca", "confusion"}
+        assert set(result) == {"mca", "mpca", "confusion", "val"}
         assert 0.0 <= result["mca"] <= 1.0
 
     def test_fused_self_eval_matches_single(self, pipeline, capsys):
@@ -170,6 +171,38 @@ class TestEval:
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}.json") and "Traceback" not in err
+
+    def test_mistyped_checkpoint_config_exits_1(self, pipeline, tmp_path, capsys):
+        _, data, out = pipeline
+        ckpt = str(tmp_path / "ckpt.pgt")
+        shutil.copy(os.path.join(out, "ckpt_final.pgt"), ckpt)
+        with open(os.path.join(out, "ckpt_final.pgt.json")) as fh:
+            sidecar = json.load(fh)
+        sidecar["num_persons"] = "2"
+        (tmp_path / "ckpt.pgt.json").write_text(json.dumps(sidecar))
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {ckpt}.json: num_persons must be int, got '2'"]
+
+    def test_val_scores_validation_split(self, pipeline, tmp_path, capsys):
+        """A 32-clip set of the pipeline's shape: the top level scores every clip, val only the validation clips."""
+        _, _, out = pipeline
+        data = str(tmp_path / "data32")
+        assert cli.main([
+            "synth", "--classes", "2", "--per-class", "16", "--persons", "2",
+            "--joints", "3", "--objects", "1", "--frames", "8", "--seed", "2",
+            "--out", data,
+        ]) == 0
+        assert cli.main(["reassign", "--data", data]) == 0
+        assert cli.main(["features", "--data", data]) == 0
+        capsys.readouterr()
+        n_val = sum(train.is_validation_index(i) for i in range(32))
+        ckpt = os.path.join(out, "ckpt_final.pgt")
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert np.sum(result["confusion"]) == 32
+        assert set(result["val"]) == {"mca", "mpca", "confusion"}
+        assert np.sum(result["val"]["confusion"]) == n_val == 6
 
     def test_two_checkpoints_without_fuse_exits_1(self, pipeline, capsys):
         _, data, out = pipeline

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from panograph import gradcheck
+from panograph import gradcheck, graph
 from panograph.errors import ConfigError, ContractError
 from panograph.nn import (
     BasicBlock,
@@ -21,6 +21,27 @@ def identity_adjacency(n, K=3):
     A = np.zeros((K, n, n))
     A[0] = np.eye(n)
     return A
+
+
+def assert_rel_close(actual, expected, tol=1e-12):
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
+
+
+def forward_backward(layer, x, rng):
+    """Randomise every parameter, run forward and backward; return out, grad_out, gx, grads.
+
+    The gradient oracles below restate each contraction as an independent
+    np.einsum at B=3 and C != O, so a dropped batch sum or a transposed
+    operand shows, and compare to 1e-12 relative.
+    """
+    for _, p in layer.named_parameters():
+        p[...] = rng.standard_normal(p.shape)
+    layer.zero_grad()
+    out = layer.forward(x, training=True)
+    g = rng.standard_normal(out.shape)
+    gx = layer.backward(g)
+    return out, g, gx, {name: grad.copy() for name, grad in layer.named_grads()}
 
 
 class TestSpatialGraphConv:
@@ -49,7 +70,7 @@ class TestSpatialGraphConv:
     def test_brute_force_triple_product(self):
         """f_out = sum_k (E_k . A_k) f_in W_k by explicit loops, to 1e-12."""
         rng = np.random.default_rng(2)
-        n, cin, cout, T, B = 3, 2, 2, 1, 1
+        n, cin, cout, T, B = 3, 2, 3, 1, 3
         A = rng.uniform(0, 1, size=(3, n, n))
         A = (A + A.transpose(0, 2, 1)) / 2
         layer = SpatialGraphConv(cin, cout, A, rng)
@@ -61,12 +82,36 @@ class TestSpatialGraphConv:
         for k in range(3):
             mk = layer._params[f"E{k}"] * A[k]
             W = layer._params[f"W{k}"]
-            for i in range(n):
-                for j in range(n):
-                    for co in range(cout):
-                        for ci in range(cin):
-                            expected[0, co, 0, i] += mk[i, j] * x[0, ci, 0, j] * W[ci, co]
+            for b in range(B):
+                for i in range(n):
+                    for j in range(n):
+                        for co in range(cout):
+                            for ci in range(cin):
+                                expected[b, co, 0, i] += mk[i, j] * x[b, ci, 0, j] * W[ci, co]
         assert np.max(np.abs(out - expected)) < 1e-12
+
+    def test_gradients_match_einsum(self):
+        """dW_k, dE_k (on the support, exactly 0 off it) and dx on a coco17 M=2 graph."""
+        rng = np.random.default_rng(30)
+        A = graph.partition_and_normalize(graph.build_topology("coco17", 2, 17, 1)).A_hat
+        C, O, T, N = 4, 6, 5, A.shape[1]
+        assert N == 36
+        layer = SpatialGraphConv(C, O, A, rng)
+        x = rng.standard_normal((3, C, T, N))
+        _, g, gx, grads = forward_backward(layer, x, rng)
+        exp_gx = 0.0
+        for k in range(3):
+            mk = layer._params[f"E{k}"] * A[k]
+            W = layer._params[f"W{k}"]
+            z = np.einsum("bctj,lj->bctl", x, mk)
+            assert_rel_close(grads[f"W{k}"], np.einsum("bctl,botl->co", z, g))
+            gz = np.einsum("co,botl->bctl", W, g)
+            on = A[k] != 0
+            exp_dE = np.einsum("bctl,bctj->lj", gz, x) * A[k]
+            assert_rel_close(grads[f"E{k}"][on], exp_dE[on])
+            assert np.all(grads[f"E{k}"][~on] == 0.0)
+            exp_gx = exp_gx + np.einsum("bctl,lj->bctj", gz, mk)
+        assert_rel_close(gx, exp_gx)
 
     def test_node_mismatch(self):
         layer = SpatialGraphConv(2, 2, identity_adjacency(4), np.random.default_rng(0))
@@ -92,11 +137,28 @@ class TestTemporalConv:
     def test_matches_naive(self, stride, dilation):
         rng = np.random.default_rng(3)
         layer = TemporalConv(3, 4, rng, stride=stride, dilation=dilation)
-        x = rng.standard_normal((2, 3, 7, 5))
+        x = rng.standard_normal((3, 3, 7, 5))
         out = layer.forward(x)
         expected = self.naive(x, layer.w, layer.b, stride, dilation)
         assert out.shape == expected.shape
         assert np.allclose(out, expected, atol=1e-12)
+
+    def test_gradients_match_einsum(self):
+        rng = np.random.default_rng(32)
+        s, d, T = 2, 2, 9
+        layer = TemporalConv(4, 6, rng, stride=s, dilation=d)
+        x = rng.standard_normal((3, 4, T, 5))
+        _, g, gx, grads = forward_backward(layer, x, rng)
+        T_out = (T - 1) // s + 1
+        xp = np.pad(x, ((0, 0), (0, 0), (d, d), (0, 0)))  # pad = d * (3 - 1) // 2
+        taps = [slice(d * k, d * k + s * (T_out - 1) + 1, s) for k in range(3)]
+        xw = np.stack([xp[:, :, tap] for tap in taps], axis=2)  # (B, C, 3, T_out, N)
+        gxp = np.zeros_like(xp)
+        for k, tap in enumerate(taps):
+            gxp[:, :, tap] += np.einsum("oc,botn->bctn", layer.w[:, :, k], g)
+        assert_rel_close(grads["w"], np.einsum("botn,bcktn->ock", g, xw))
+        assert_rel_close(grads["b"], g.sum(axis=(0, 2, 3)))
+        assert_rel_close(gx, gxp[:, :, d : d + T])
 
     def test_output_length(self):
         layer = TemporalConv(2, 2, np.random.default_rng(4), stride=2)
@@ -183,9 +245,9 @@ class TestMultiScaleTCN:
 
 class TestAttention:
     def test_straight_line_oracle(self):
-        """Step-by-step recomputation for C=4, T=2, M=2, N'=3."""
+        """Step-by-step recomputation for B=3, C=4, T=2, M=2, N'=3."""
         rng = np.random.default_rng(11)
-        B, C, T, M, Np = 1, 4, 2, 2, 3
+        B, C, T, M, Np = 3, 4, 2, 2, 3
         att = STPAttention(C, M, Np, rng)
         x = rng.standard_normal((B, C, T, M * Np))
         out = att.forward(x)
@@ -200,6 +262,34 @@ class TestAttention:
         ps, fs = sig[:, :M], sig[:, M:]
         expected = x5 * (fs[:, None, :, None, None] * ps[:, None, None, :, None])
         assert np.allclose(out, expected.reshape(B, C, T, M * Np), atol=1e-12)
+
+    def test_gradients_match_einsum(self):
+        rng = np.random.default_rng(33)
+        B, C, T, M, Np = 3, 8, 5, 2, 18
+        att = STPAttention(C, M, Np, rng)
+        x = rng.standard_normal((B, C, T, M * Np))
+        _, g, gx, grads = forward_backward(att, x, rng)
+        x5 = x.reshape(B, C, T, M, Np)
+        z = np.concatenate([x5.mean(axis=(2, 4)), x.mean(axis=3)], axis=2)
+        pre = np.einsum("rc,bcl->brl", att.w1, z) + att.b1[None, :, None]
+        assert (pre > 0).any() and (pre < 0).any()
+        h = np.maximum(pre, 0.0)
+        sig = 1 / (1 + np.exp(-(np.einsum("r,brl->bl", att.w2, h) + att.b2)))
+        ps, fs = sig[:, :M], sig[:, M:]
+        a = np.einsum("bt,bm->btm", fs, ps)
+        g5 = g.reshape(x5.shape)
+        gatt = np.einsum("bctmp,bctmp->btm", g5, x5)
+        gu = np.concatenate([np.einsum("btm,bt->bm", gatt, fs) * ps * (1 - ps),
+                             np.einsum("btm,bm->bt", gatt, ps) * fs * (1 - fs)], axis=1)
+        gh = np.einsum("bl,r->brl", gu, att.w2) * (pre > 0)
+        gz = np.einsum("rc,brl->bcl", att.w1, gh)
+        exp_gx = (g5 * a[:, None, :, :, None] + gz[:, :, None, :M, None] / (T * Np)
+                  + gz[:, :, M:, None, None] / (M * Np))
+        assert_rel_close(grads["w2"], np.einsum("bl,brl->r", gu, h))
+        assert_rel_close(grads["b2"], gu.sum(keepdims=True).reshape(1))
+        assert_rel_close(grads["w1"], np.einsum("brl,bcl->rc", gh, z))
+        assert_rel_close(grads["b1"], gh.sum(axis=(0, 2)))
+        assert_rel_close(gx, exp_gx.reshape(x.shape))
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(12)
@@ -281,3 +371,17 @@ class TestConv1x1:
         gx = conv.backward(np.ones_like(y))
         assert gx.shape == x.shape
         assert np.all(gx[:, :, 1::2, :] == 0)  # skipped frames get zero gradient
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_einsum(self, stride):
+        rng = np.random.default_rng(31)
+        layer = Conv1x1(4, 6, rng, stride=stride)
+        x = rng.standard_normal((3, 4, 7, 5))
+        out, g, gx, grads = forward_backward(layer, x, rng)
+        xs = x[:, :, ::stride]
+        exp_gx = np.zeros_like(x)
+        exp_gx[:, :, ::stride] = np.einsum("oc,botn->bctn", layer.w, g)
+        assert_rel_close(out, np.einsum("oc,bctn->botn", layer.w, xs) + layer.b[None, :, None, None])
+        assert_rel_close(grads["w"], np.einsum("botn,bctn->oc", g, xs))
+        assert_rel_close(grads["b"], g.sum(axis=(0, 2, 3)))
+        assert_rel_close(gx, exp_gx)

@@ -257,6 +257,9 @@ class TestTrainLoop:
             train.train_loop(ds, cfg, self.make_cfg(), A)
 
 
+CHAIN = {"layout": "chain", "inter_variant": "pairwise"}
+
+
 class TestEvaluateAndCheckpoints:
     def trained(self, tmp_path, graph_info=None):
         cfg, A = tiny_setup()
@@ -278,6 +281,17 @@ class TestEvaluateAndCheckpoints:
         assert single["mca"] == fused["mca"]
         assert single["mpca"] == fused["mpca"]
         assert np.array_equal(single["confusion"], fused["confusion"])
+
+    def test_val_metrics_cover_validation_split(self, tmp_path):
+        _, _, ds, model, stats = self.trained(tmp_path)
+        val_idx = np.flatnonzero(train.validation_mask(len(ds)))
+        assert list(val_idx) == [6]
+        val = train.evaluate(ds, [(model, stats)])["val"]
+        alone = train.evaluate_model(model, ds, val_idx, stats)
+        assert val["mca"] == alone["mca"] and val["mpca"] == alone["mpca"]
+        assert np.array_equal(val["confusion"], alone["confusion"])
+        head = train.Dataset(ds.streams[:6], ds.labels[:6])
+        assert train.evaluate(head, [(model, stats)])["val"] is None
 
     def test_multiple_without_fuse_rejected(self, tmp_path):
         _, _, ds, model, stats = self.trained(tmp_path)
@@ -325,6 +339,30 @@ class TestEvaluateAndCheckpoints:
         sidecar_path.write_text(json.dumps(sidecar))
         with pytest.raises(FormatError, match=re.escape(named)):
             train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"), A)
+
+    @pytest.mark.parametrize(
+        "graph_info, change, named",
+        [
+            ({"inter_variant": "pairwise"}, {}, "graph must be an object with a string layout"),
+            ({"layout": "ring"}, {}, "graph: unknown skeleton layout 'ring'"),
+            ({"layout": "chain", "inter_variant": 2}, {}, "graph must be an object"),
+            (None, {"graph": ["chain"]}, "graph must be an object"),
+            (CHAIN, {"num_persons": "2"}, "num_persons must be int, got '2'"),
+            (CHAIN, {"num_classes": True}, "num_classes must be int, got True"),
+            (CHAIN, {"main_branch_channels": [8, "8"]}, "main_branch_channels must be list[int]"),
+            (CHAIN, {"input_branch_channels": 8}, "input_branch_channels must be list[int], got 8"),
+        ],
+        ids=["no_layout", "unknown_layout", "variant_int", "graph_list", "persons_str",
+             "classes_bool", "width_str", "plan_int"],
+    )
+    def test_checkpoint_sidecar_types_checked(self, tmp_path, graph_info, change, named):
+        self.trained(tmp_path, graph_info=graph_info)
+        path = str(tmp_path / "ckpt_final.pgt")
+        sidecar = json.loads((tmp_path / "ckpt_final.pgt.json").read_text())
+        sidecar.update(change)
+        (tmp_path / "ckpt_final.pgt.json").write_text(json.dumps(sidecar))
+        with pytest.raises(FormatError, match=re.escape(f"{path}.json: {named}")):
+            train.load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "mutate, named",
