@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -93,7 +94,8 @@ def cmd_reassign(args) -> int:
         data_io.write_tensor_container(
             os.path.join(tensor_dir, entry["id"] + ".pgt"), {"skeleton": full}
         )
-        reports[entry["id"]] = json.loads(report.to_json())
+        reports[entry["id"]] = {"slot_mean_track_len": report.slot_mean_track_len,
+                                "dropped_per_frame": report.dropped_per_frame}
     with open(os.path.join(args.data, "reassign_report.json"), "w") as fh:
         json.dump(reports, fh, indent=1)
     print(f"reassigned {len(reports)} samples")
@@ -135,13 +137,7 @@ def cmd_features(args) -> int:
 
 
 TRAIN_CONFIG_KEYS = {
-    "epochs": int,
-    "warmup_epochs": int,
-    "base_lr": float,
-    "momentum": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "seed": int,
+    **typing.get_type_hints(train.TrainConfig),
     "channel_divisor": int,
     "inter_variant": str,
 }
@@ -209,9 +205,12 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     worst_overall = 0.0
     for seed in range(args.seed, args.seed + args.seeds):
-        errors, worst = gradcheck.run_full_suite(seed, thorough=(seed == args.seed))
+        coverage = gradcheck.Coverage()
+        errors, worst = gradcheck.run_full_suite(seed, seed == args.seed, coverage)
         for name, err in sorted(errors.items()):
             print(f"seed {seed}  {name:<20s} max rel err {err:.3e}")
+        print(f"seed {seed}  {coverage.floored} of {coverage.checks} checks floored "
+              f"(|FD| and |analytic| both <= {gradcheck.ABS_FLOOR:.0e})")
         worst_overall = max(worst_overall, worst)
     print(f"overall max rel err {worst_overall:.3e} (tolerance {GRADCHECK_TOL:.0e})")
     if worst_overall >= GRADCHECK_TOL:

@@ -48,11 +48,17 @@ def freeze_kinks(module: Module, frozen: bool = True) -> None:
         freeze_kinks(child, frozen)
 
 
-def _error(fd: float, analytic: float) -> float:
-    diff = abs(fd - analytic)
-    if diff <= ABS_FLOOR:
-        return 0.0
-    return diff / max(abs(fd), abs(analytic))
+class Coverage:
+    """Counts FD checks, and the floored ones: |FD| and |analytic| both <= ABS_FLOOR."""
+
+    def __init__(self):
+        self.checks = self.floored = 0
+
+    def error(self, fd: float, analytic: float) -> float:
+        self.checks += 1
+        self.floored += int(max(abs(fd), abs(analytic)) <= ABS_FLOOR)
+        diff = abs(fd - analytic)
+        return 0.0 if diff <= ABS_FLOOR else diff / max(abs(fd), abs(analytic))
 
 
 def _central_difference(
@@ -80,7 +86,8 @@ def check_entrywise(
     loss_fn: Callable[[], float],
     tensors: list[tuple[str, np.ndarray, np.ndarray]],
     rng: np.random.Generator,
-    max_entries: int | None = None,
+    max_entries: int | None,
+    coverage: Coverage,
 ) -> dict[str, float]:
     """Max relative FD error per (name, tensor, analytic gradient) by single entries.
 
@@ -99,7 +106,7 @@ def check_entrywise(
         for i in indices:
             one_hot = np.zeros(flat.size)
             one_hot[i] = 1.0
-            worst = max(worst, _error(_central_difference(loss_fn, [(flat, one_hot)]), g[i]))
+            worst = max(worst, coverage.error(_central_difference(loss_fn, [(flat, one_hot)]), g[i]))
         errors[name] = worst
     return errors
 
@@ -109,13 +116,14 @@ def check_directional(
     loss_fn: Callable[[], float],
     backward_fn: Callable[[], None],
     rng: np.random.Generator,
-    group_by_module: bool = False,
+    group_by_module: bool,
+    coverage: Coverage,
 ) -> dict[str, float]:
     """Random-direction FD checks covering every parameter.
 
     ``loss_fn`` runs forward only; ``backward_fn`` runs forward + backward
     with gradients accumulated into the module. One direction per parameter
-    tensor by default; with ``group_by_module`` a single direction spans all
+    tensor; with ``group_by_module`` a single direction spans all
     tensors of each leaf module (two forward evaluations per group instead
     of per tensor).
     """
@@ -137,12 +145,16 @@ def check_directional(
         parts = np.split(d, np.cumsum([v.size for v in views])[:-1])
         fd = _central_difference(loss_fn, list(zip(views, parts)))
         dot = sum(float(analytic[name].reshape(-1) @ part) for (name, _), part in zip(members, parts))
-        errors[gname] = _error(fd, dot)
+        errors[gname] = coverage.error(fd, dot)
     return errors
 
 
 def check_layer(
-    module: Module, x: np.ndarray, rng: np.random.Generator, max_entries: int | None = 6
+    module: Module,
+    x: np.ndarray,
+    rng: np.random.Generator,
+    max_entries: int | None = 6,
+    coverage: Coverage | None = None,
 ) -> dict[str, float]:
     """Entrywise FD errors of one layer's parameters and of its input ``x``.
 
@@ -158,9 +170,11 @@ def check_layer(
     grads = dict(module.named_grads())
     tensors = [(name, p, grads[name].copy()) for name, p in module.named_parameters()]
     tensors.append(("input", x, gx))
-    return check_entrywise(
-        lambda: float((module.forward(x, training=True) * probe).sum()), tensors, rng, max_entries
-    )
+
+    def loss_fn() -> float:
+        return float((module.forward(x, training=True) * probe).sum())
+
+    return check_entrywise(loss_fn, tensors, rng, max_entries, coverage or Coverage())
 
 
 def tiny_adjacency(num_persons=2, num_joints=3):
@@ -168,7 +182,7 @@ def tiny_adjacency(num_persons=2, num_joints=3):
     return graph.partition_and_normalize(topo).A_hat
 
 
-def layer_suite(seed: int) -> dict[str, float]:
+def layer_suite(seed: int, coverage: Coverage) -> dict[str, float]:
     """Entrywise FD errors for every layer type in isolation.
 
     Each layer reports its worst parameter error under its own name and its
@@ -182,7 +196,7 @@ def layer_suite(seed: int) -> dict[str, float]:
 
     def run(name: str, module: Module, x_shape: tuple[int, ...], max_entries=6, shift=0.0):
         x = rng.standard_normal(x_shape) + shift
-        errs = check_layer(module, x, rng, max_entries)
+        errs = check_layer(module, x, rng, max_entries, coverage)
         results[name + ".input"] = errs.pop("input")
         if errs:
             results[name] = max(errs.values())
@@ -214,7 +228,7 @@ def tiny_model_config(num_classes: int = 5) -> ModelConfig:
     return base.scaled(4)
 
 
-def model_suite(seed: int, group_by_module: bool = False) -> dict[str, float]:
+def model_suite(seed: int, group_by_module: bool, coverage: Coverage) -> dict[str, float]:
     """Random-direction FD errors for the composed tiny model."""
     rng = np.random.default_rng(seed)
     cfg = tiny_model_config()
@@ -239,16 +253,19 @@ def model_suite(seed: int, group_by_module: bool = False) -> dict[str, float]:
         _, glogits = cross_entropy(logits, labels)
         model.backward(glogits)
 
-    return check_directional(model, loss_fn, backward_fn, rng, group_by_module=group_by_module)
+    return check_directional(model, loss_fn, backward_fn, rng, group_by_module, coverage)
 
 
-def run_full_suite(seed: int, thorough: bool = True) -> tuple[dict[str, float], float]:
+def run_full_suite(
+    seed: int, thorough: bool = True, coverage: Coverage | None = None
+) -> tuple[dict[str, float], float]:
     """Layer and model checks for one seed; returns (per-check errors, max).
 
     ``thorough=False`` swaps the model check's per-tensor directions for
     per-module ones (every parameter still perturbed, far fewer forwards).
     """
-    errors = layer_suite(seed)
-    model_errors = model_suite(seed, group_by_module=not thorough)
+    coverage = coverage or Coverage()
+    errors = layer_suite(seed, coverage)
+    model_errors = model_suite(seed, not thorough, coverage)
     errors["model"] = max(model_errors.values())
     return errors, max(errors.values())

@@ -20,13 +20,12 @@ class ReLU(Module):
 
 
 class Conv1x1(Module):
-    """Pointwise channel transform with bias, optionally with temporal subsampling."""
+    """Pointwise channel transform, optionally with temporal subsampling."""
 
     def __init__(self, in_channels, out_channels, rng, stride=1):
         super().__init__()
         self.stride = stride
         self.w = self.param("w", kaiming_uniform(rng, (out_channels, in_channels), in_channels))
-        self.b = self.param("b", np.zeros(out_channels))
 
     def forward(self, x, training=False):
         self._full_T = x.shape[2]
@@ -34,21 +33,16 @@ class Conv1x1(Module):
             x = x[:, :, :: self.stride, :]
         self._x = x
         B, C, T, N = x.shape
-        y = (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
-        y += self.b[None, :, None, None]
-        return y
+        return (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
 
     def backward(self, grad_out):
         B, O, T, N = grad_out.shape
         g2 = grad_out.reshape(B, O, T * N)
         x2 = self._x.reshape(B, -1, T * N)
         self._grads["w"] += np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0)
-        self._grads["b"] += grad_out.sum(axis=(0, 2, 3))
         gx = (self.w.T @ g2).reshape(B, -1, T, N)
         if self.stride > 1:
-            full = np.zeros(
-                (gx.shape[0], gx.shape[1], self._full_T, gx.shape[3]), dtype=gx.dtype
-            )
+            full = np.zeros((B, gx.shape[1], self._full_T, N), dtype=gx.dtype)
             full[:, :, :: self.stride, :] = gx
             return full
         return gx
@@ -67,7 +61,6 @@ class TemporalConv(Module):
         self.dilation = dilation
         shape = (out_channels, in_channels, self.kernel)
         self.w = self.param("w", kaiming_uniform(rng, shape, in_channels * self.kernel))
-        self.b = self.param("b", np.zeros(out_channels))
 
     def _window_index(self, T):
         # (kernel, T_out) tap positions into the padded sequence
@@ -86,15 +79,13 @@ class TemporalConv(Module):
         xw2 = xw.reshape(B, C * self.kernel, T_out * N)
         self._cache = (xw2, T, T_out, pad, idx)
         O = self.w.shape[0]
-        y = (self.w.reshape(O, -1) @ xw2).reshape(B, O, T_out, N)
-        return y + self.b[None, :, None, None]
+        return (self.w.reshape(O, -1) @ xw2).reshape(B, O, T_out, N)
 
     def backward(self, grad_out):
         xw2, T, T_out, pad, idx = self._cache
         B, O, _, N = grad_out.shape
         g2 = grad_out.reshape(B, O, T_out * N)
         self._grads["w"] += np.matmul(g2, xw2.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
-        self._grads["b"] += grad_out.sum(axis=(0, 2, 3))
         gxw = (self.w.reshape(O, -1).T @ g2).reshape(B, -1, self.kernel, T_out, N)
         gxp = np.zeros((B, gxw.shape[1], T + 2 * pad, N), dtype=grad_out.dtype)
         for k in range(self.kernel):

@@ -142,14 +142,6 @@ class AssignmentReport:
     dropped_per_frame: list[int]
     slot_tracks: list[list[int | None]] = field(repr=False, default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "slot_mean_track_len": self.slot_mean_track_len,
-                "dropped_per_frame": self.dropped_per_frame,
-            }
-        )
-
 
 def mean_contiguous_run_length(track_seq: list[int | None]) -> float:
     """Average length of maximal same-id runs; absences break runs."""

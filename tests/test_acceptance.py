@@ -24,14 +24,17 @@ def announce(capsys, ok, num, text):
 def test_criterion_1_gradient_suite(capsys):
     start = time.time()
     worst = 0.0
+    coverage = gradcheck.Coverage()
     for seed in range(10):
-        _, seed_worst = gradcheck.run_full_suite(seed, thorough=(seed == 0))
+        _, seed_worst = gradcheck.run_full_suite(seed, thorough=(seed == 0), coverage=coverage)
         worst = max(worst, seed_worst)
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 60.0
     announce(
         capsys, ok, 1,
-        f"gradient suite max rel err {worst:.2e} (<1e-4) over 10 seeds in {elapsed:.1f}s (<60s)",
+        f"gradient suite max rel err {worst:.2e} (<1e-4) over 10 seeds in {elapsed:.1f}s (<60s); "
+        f"{coverage.floored} of {coverage.checks} checks floored "
+        f"(|FD| and |analytic| both <= {gradcheck.ABS_FLOOR:.0e})",
     )
 
 

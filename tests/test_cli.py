@@ -1,4 +1,5 @@
 """CLI pipeline tests (in-process via cli.main)."""
+import dataclasses
 import json
 import os
 import shutil
@@ -131,6 +132,19 @@ class TestTrain:
         records = [json.loads(l) for l in open(os.path.join(out, "metrics.jsonl"))]
         assert len(records) == 3
         assert all(np.isfinite(r["train_loss"]) for r in records)
+
+    def test_config_naming_every_train_field(self, pipeline, tmp_path):
+        _, data, _ = pipeline
+        values = {"epochs": 2, "warmup_epochs": 1, "base_lr": 0.01, "momentum": 0.8,
+                  "weight_decay": 1e-4, "batch_size": 4, "seed": 3}
+        assert set(values) == {f.name for f in dataclasses.fields(train.TrainConfig)}
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()) + "channel_divisor = 8\n")
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--data", data, "--out", str(out)]) == 0
+        records = [json.loads(l) for l in open(out / "metrics.jsonl")]
+        expected = train.TrainConfig(**values)
+        assert [r["lr"] for r in records] == [train.lr_at(e, expected) for e in range(2)]
 
     def test_unknown_config_key_exits_1(self, pipeline, tmp_path, capsys):
         _, data, _ = pipeline

@@ -9,6 +9,8 @@ from panograph.nn import (
     BatchNorm,
     Conv1x1,
     MaxPoolT,
+    ModelConfig,
+    MPGCN,
     MultiScaleTCN,
     ReLU,
     SpatialGraphConv,
@@ -120,7 +122,7 @@ class TestSpatialGraphConv:
 
 
 class TestTemporalConv:
-    def naive(self, x, w, b, stride, dilation):
+    def naive(self, x, w, stride, dilation):
         B, C, T, N = x.shape
         O, _, K = w.shape
         pad = dilation * (K - 1) // 2
@@ -131,7 +133,7 @@ class TestTemporalConv:
                 t = stride * to + dilation * k - pad
                 if 0 <= t < T:
                     out[:, :, to, :] += np.einsum("oc,bcn->bon", w[:, :, k], x[:, :, t, :])
-        return out + b[None, :, None, None]
+        return out
 
     @pytest.mark.parametrize("stride,dilation", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_matches_naive(self, stride, dilation):
@@ -139,7 +141,7 @@ class TestTemporalConv:
         layer = TemporalConv(3, 4, rng, stride=stride, dilation=dilation)
         x = rng.standard_normal((3, 3, 7, 5))
         out = layer.forward(x)
-        expected = self.naive(x, layer.w, layer.b, stride, dilation)
+        expected = self.naive(x, layer.w, stride, dilation)
         assert out.shape == expected.shape
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -156,8 +158,8 @@ class TestTemporalConv:
         gxp = np.zeros_like(xp)
         for k, tap in enumerate(taps):
             gxp[:, :, tap] += np.einsum("oc,botn->bctn", layer.w[:, :, k], g)
+        assert set(grads) == {"w"}
         assert_rel_close(grads["w"], np.einsum("botn,bcktn->ock", g, xw))
-        assert_rel_close(grads["b"], g.sum(axis=(0, 2, 3)))
         assert_rel_close(gx, gxp[:, :, d : d + T])
 
     def test_output_length(self):
@@ -333,6 +335,36 @@ class TestBasicBlock:
         assert same.res1 is None and same.res2 is None
         assert changed.res1 is not None and changed.res2 is not None
 
+    def test_convolutions_leave_every_shift_to_batchnorm(self):
+        """Each conv output reaches a BN (directly or beside one), so only BN beta shifts."""
+        rng = np.random.default_rng(19)
+        block = BasicBlock(4, 8, gradcheck.tiny_adjacency(2, 3), 2, 3, rng, stride=2)
+        conv_branch = ["bottleneck.w", "bn.gamma", "bn.beta"]
+        assert [name for name, _ in block.named_parameters()] == [
+            "sgc.W0", "sgc.E0", "sgc.W1", "sgc.E1", "sgc.W2", "sgc.E2",
+            "bn1.gamma", "bn1.beta",
+            "res1.w",
+            *[f"tcn.b{i}.{n}" for i in (0, 1) for n in conv_branch + ["tconv.w"]],
+            *[f"tcn.b2.{n}" for n in conv_branch],
+            "tcn.b3.w",
+            "bn2.gamma", "bn2.beta",
+            "res2.w",
+            "att.w1", "att.b1", "att.w2", "att.b2",
+        ]
+        cfg = ModelConfig(3, 5, 1, 16, 8).scaled(4)
+        A = graph.partition_and_normalize(graph.build_topology("chain", 3, 5, 1)).A_hat
+        convs = []
+
+        def walk(module):
+            if isinstance(module, (Conv1x1, TemporalConv)):
+                convs.append(module)
+            for _, child in module._children:
+                walk(child)
+
+        walk(MPGCN(cfg, A, rng))
+        assert len(convs) == 118
+        assert all(list(conv._params) == ["w"] for conv in convs)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
         A = gradcheck.tiny_adjacency(2, 3)
@@ -360,7 +392,6 @@ class TestConv1x1:
         assert out.shape == (1, 3, 3, 4)
         dense = Conv1x1(2, 3, rng)
         dense.w[:] = conv.w
-        dense.b[:] = conv.b
         assert np.allclose(out, dense.forward(x[:, :, ::2, :]), atol=1e-12)
 
     def test_strided_backward_reinflates(self):
@@ -381,7 +412,7 @@ class TestConv1x1:
         xs = x[:, :, ::stride]
         exp_gx = np.zeros_like(x)
         exp_gx[:, :, ::stride] = np.einsum("oc,botn->bctn", layer.w, g)
-        assert_rel_close(out, np.einsum("oc,bctn->botn", layer.w, xs) + layer.b[None, :, None, None])
+        assert_rel_close(out, np.einsum("oc,bctn->botn", layer.w, xs))
+        assert set(grads) == {"w"}
         assert_rel_close(grads["w"], np.einsum("botn,bctn->oc", g, xs))
-        assert_rel_close(grads["b"], g.sum(axis=(0, 2, 3)))
         assert_rel_close(gx, exp_gx)

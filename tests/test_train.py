@@ -369,8 +369,8 @@ class TestEvaluateAndCheckpoints:
         [
             (lambda t: t.pop("param.branch0.block0.sgc.W0"),
              "parameter names differ: missing ['branch0.block0.sgc.W0'], unknown []"),
-            (lambda t: t.update({"param.branch0.block0.res1.b": np.zeros(1)}),
-             "parameter 'branch0.block0.res1.b' has shape (1,), expected (16,)"),
+            (lambda t: t.update({"param.branch0.block0.res1.w": np.zeros(1)}),
+             "parameter 'branch0.block0.res1.w' has shape (1,), expected (16, 6)"),
             (lambda t: t.update({"param.extra.w": np.zeros(2)}),
              "parameter names differ: missing [], unknown ['extra.w']"),
             (lambda t: t.pop("buffer.branch0.block0.bn1.running_var"),
