@@ -39,10 +39,17 @@ def write_tensor_container(path: str, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+    write_atomic(path, lambda fh: fh.write(b"".join(chunks)), "wb")
+
+
+def write_atomic(path: str, write, mode: str) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it over
+    ``path``: a reader sees the old file or the new one, never a partial one,
+    and a failed write leaves no temp file behind."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(b"".join(chunks))
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -292,7 +299,5 @@ def load_manifest(data_dir: str) -> dict:
 
 
 def save_manifest(data_dir: str, manifest: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=data_dir)
-    with os.fdopen(fd, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    os.replace(tmp, os.path.join(data_dir, "manifest.json"))
+    write_atomic(os.path.join(data_dir, "manifest.json"),
+                 lambda fh: json.dump(manifest, fh, indent=1), "w")

@@ -11,9 +11,10 @@ class ReLU(Module):
     """Rectifier; ``_freeze_kinks`` pins the active set for FD probing."""
 
     def forward(self, x, training=False):
-        if not getattr(self, "_freeze_kinks", False):
-            self._mask = x > 0
-        return x * self._mask
+        if getattr(self, "_freeze_kinks", False):
+            return x * self._mask
+        self._mask = x > 0
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
         return grad_out * self._mask
@@ -94,39 +95,62 @@ class TemporalConv(Module):
 
 
 class MaxPoolT(Module):
-    """Temporal max pooling, window 3, same padding, configurable stride."""
+    """Temporal max pooling, window 3, same padding, configurable stride.
+
+    The window at output frame t reads padded frames s*t + k, k = 0, 1, 2, so
+    each k is one strided view ("tap") of the -inf-padded input. ``_argmax``
+    holds the winning tap as int8; ties go to the first, as ``np.argmax``.
+    """
 
     def __init__(self, stride=1):
         super().__init__()
         self.kernel = 3
         self.stride = stride
 
+    def _taps(self, xp, T_out):
+        last = self.stride * (T_out - 1) + 1
+        return [xp[:, :, k : k + last : self.stride] for k in range(self.kernel)]
+
     def forward(self, x, training=False):
         B, C, T, N = x.shape
-        pad = (self.kernel - 1) // 2
         T_out = (T - 1) // self.stride + 1
-        xp = np.full((B, C, T + 2 * pad, N), -np.inf, dtype=x.dtype)
-        xp[:, :, pad : pad + T, :] = x
-        idx = self.stride * np.arange(T_out)[:, None] + np.arange(self.kernel)[None, :]
-        xw = xp[:, :, idx, :]  # (B, C, T_out, kernel, N)
-        if not getattr(self, "_freeze_kinks", False):
-            self._argmax = xw.argmax(axis=3)
-        self._dims = (B, C, T, N, pad, T_out)
-        return np.take_along_axis(xw, self._argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        xp = np.full((B, C, T + 2, N), -np.inf, dtype=x.dtype)
+        xp[:, :, 1 : T + 1] = x
+        taps = self._taps(xp, T_out)
+        self._T = T
+        if getattr(self, "_freeze_kinks", False):
+            return np.choose(self._argmax, taps)
+        out = taps[0].copy()
+        self._argmax = np.zeros(out.shape, dtype=np.int8)
+        for k in range(1, self.kernel):
+            hit = taps[k] > out
+            np.copyto(out, taps[k], where=hit)
+            self._argmax[hit] = k
+        return out
 
     def backward(self, grad_out):
-        B, C, T, N, pad, T_out = self._dims
-        gxp = np.zeros((B, C, T + 2 * pad, N), dtype=grad_out.dtype)
-        b_i = np.arange(B)[:, None, None, None]
-        c_i = np.arange(C)[None, :, None, None]
-        n_i = np.arange(N)[None, None, None, :]
-        t_i = self.stride * np.arange(T_out)[None, None, :, None] + self._argmax
-        np.add.at(gxp, (b_i, c_i, t_i, n_i), grad_out)
-        return gxp[:, :, pad : pad + T, :]
+        B, C, T_out, N = grad_out.shape
+        gxp = np.zeros((B, C, self._T + 2, N), dtype=grad_out.dtype)
+        taps = self._taps(gxp, T_out)
+        # taps 2, 1, 0: each frame sums the shares of its windows in window order
+        for k in reversed(range(self.kernel)):
+            taps[k] += grad_out * (self._argmax == k)
+        return gxp[:, :, 1 : self._T + 1]
+
+
+def _channel_dot(a, b):
+    """Per-channel sum of a * b over (batch, frames, nodes), one dot per (b, c)."""
+    B, C = a.shape[:2]
+    a3, b3 = a.reshape(B, C, 1, -1), b.reshape(B, C, -1, 1)
+    return np.matmul(a3, b3).sum(axis=0).reshape(C)
 
 
 class BatchNorm(Module):
-    """Per-channel normalization over (batch, frames, nodes)."""
+    """Per-channel normalization over (batch, frames, nodes).
+
+    Training takes the variance from the centred x - mean (two passes), so a
+    large channel mean does not cancel it, and caches x_hat for the backward.
+    """
 
     def __init__(self, channels):
         super().__init__()
@@ -138,40 +162,49 @@ class BatchNorm(Module):
         self.running_var = self.buffer("running_var", np.ones(channels))
 
     def forward(self, x, training=False):
-        if training:
-            B, C, T, N = x.shape
-            cnt = B * T * N
-            flat = x.reshape(B, C, T * N)
-            mean = np.add.reduce(flat, axis=(0, 2)) / cnt
-            # max() guards the E[x^2] - mean^2 cancellation from going negative
-            var = np.maximum(np.add.reduce(flat * flat, axis=(0, 2)) / cnt - mean * mean, 0.0)
-            self.running_mean *= self.momentum
-            self.running_mean += (1 - self.momentum) * mean
-            self.running_var *= self.momentum
-            self.running_var += (1 - self.momentum) * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if not training:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            coef = self.gamma * inv_std
+            self._cache = (x, inv_std, False)
+            y = x * coef[:, None, None]
+            y += (self.beta - self.running_mean * coef)[:, None, None]
+            return y
+        B, C, T, N = x.shape
+        m = B * T * N
+        mean = np.add.reduce(x.reshape(B, C, T * N), axis=(0, 2)) / m
+        xhat = x - mean[:, None, None]
+        var = _channel_dot(xhat, xhat) / m
+        self.running_mean *= self.momentum
+        self.running_mean += (1 - self.momentum) * mean
+        self.running_var *= self.momentum
+        self.running_var += (1 - self.momentum) * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        # fused affine: y = x * (gamma/std) + (beta - gamma*mean/std)
-        coef = self.gamma * inv_std
-        self._cache = (x, mean, inv_std, training)
-        return x * coef[None, :, None, None] + (self.beta - mean * coef)[None, :, None, None]
+        xhat *= inv_std[:, None, None]
+        self._cache = (xhat, inv_std, True)
+        y = xhat * self.gamma[:, None, None]
+        y += self.beta[:, None, None]
+        return y
 
     def backward(self, grad_out):
-        x, mean, inv_std, training = self._cache
-        shape = x.shape
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        cached, inv_std, training = self._cache
         axes = (0, 2, 3)
-        self._grads["beta"] += grad_out.sum(axis=axes)
-        self._grads["gamma"] += (grad_out * xhat).sum(axis=axes)
-        dxhat = grad_out * self.gamma[None, :, None, None]
         if not training:
-            return dxhat * inv_std[None, :, None, None]
-        m = shape[0] * shape[2] * shape[3]
-        sum_d = dxhat.sum(axis=axes, keepdims=True)
-        sum_dx = (dxhat * xhat).sum(axis=axes, keepdims=True)
-        return (inv_std[None, :, None, None] / m) * (m * dxhat - sum_d - xhat * sum_dx)
+            xhat = (cached - self.running_mean[:, None, None]) * inv_std[:, None, None]
+            self._grads["beta"] += grad_out.sum(axis=axes)
+            self._grads["gamma"] += (grad_out * xhat).sum(axis=axes)
+            return grad_out * self.gamma[:, None, None] * inv_std[:, None, None]
+        B, _, T, N = grad_out.shape
+        m = B * T * N
+        dbeta = grad_out.sum(axis=axes)
+        dgamma = _channel_dot(grad_out, cached)
+        self._grads["beta"] += dbeta
+        self._grads["gamma"] += dgamma
+        # gx = gamma * inv_std * (g - (dbeta + x_hat * dgamma) / m), in one buffer
+        gx = cached * (dgamma / m)[:, None, None]
+        gx += (dbeta / m)[:, None, None]
+        np.subtract(grad_out, gx, out=gx)
+        gx *= (self.gamma * inv_std)[:, None, None]
+        return gx
 
 
 class SpatialGraphConv(Module):

@@ -283,8 +283,7 @@ def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict 
     sidecar = dataclasses.asdict(model.config)
     if graph_info:
         sidecar["graph"] = graph_info
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1)
+    data_io.write_atomic(path + ".json", lambda fh: json.dump(sidecar, fh, indent=1), "w")
 
 
 def _has_type(value, hint) -> bool:

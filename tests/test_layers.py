@@ -188,6 +188,38 @@ class TestMaxPool:
         x = np.full((1, 2, 5, 3), 7.0)
         assert np.all(layer.forward(x) == 7.0)
 
+    @staticmethod
+    def gather(x, stride):
+        """(B, C, T_out, 3, N) windows of the -inf-padded input."""
+        B, C, T, N = x.shape
+        xp = np.full((B, C, T + 2, N), -np.inf)
+        xp[:, :, 1 : T + 1] = x
+        T_out = (T - 1) // stride + 1
+        return xp[:, :, stride * np.arange(T_out)[:, None] + np.arange(3)[None, :]]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_gather_restatement(self, stride):
+        rng = np.random.default_rng(15)
+        B, C, T, N = 3, 4, 7, 5
+        x = rng.integers(-2, 3, (B, C, T, N)).astype(float)  # many tied neighbours
+        layer = MaxPoolT(stride=stride)
+        out = layer.forward(x)
+        windows = self.gather(x, stride)
+        argmax = windows.argmax(axis=3)
+        assert np.array_equal(out, np.take_along_axis(windows, argmax[:, :, :, None], axis=3)[:, :, :, 0])
+        assert np.array_equal(layer._argmax, argmax)
+        g = rng.standard_normal(out.shape)
+        gxp = np.zeros((B, C, T + 2, N))
+        t_i = stride * np.arange(out.shape[2])[None, None, :, None] + argmax
+        np.add.at(gxp, (np.arange(B)[:, None, None, None], np.arange(C)[None, :, None, None],
+                        t_i, np.arange(N)[None, None, None, :]), g)
+        assert np.array_equal(layer.backward(g), gxp[:, :, 1 : T + 1])
+        layer._freeze_kinks = True
+        x2 = x + rng.standard_normal(x.shape)
+        frozen = np.take_along_axis(self.gather(x2, stride), argmax[:, :, :, None], axis=3)[:, :, :, 0]
+        assert np.array_equal(layer.forward(x2), frozen)
+        assert np.array_equal(layer._argmax, argmax)
+
 
 class TestBatchNorm:
     def test_training_normalizes(self):
@@ -214,6 +246,54 @@ class TestBatchNorm:
         y = bn.forward(x, training=False)
         assert np.allclose(y[:, 0], 0.0, atol=1e-5)
         assert np.allclose(y[:, 1], 2.0 / 3.0, atol=1e-3)
+
+    @pytest.mark.parametrize("mean", [1e4, 1e6, 1e8])
+    def test_variance_centred_at_large_mean(self, mean):
+        rng = np.random.default_rng(16)
+        bn = BatchNorm(4)
+        bn.running_var[:] = 0.0
+        x = rng.standard_normal((3, 4, 5, 6)) * 3.0 + mean
+        y = bn.forward(x, training=True)
+        batch_var = bn.running_var / (1 - bn.momentum)
+        assert_rel_close(batch_var, x.var(axis=(0, 2, 3)), tol=1e-9)
+        assert np.allclose(y.std(axis=(0, 2, 3)), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_matches_textbook(self, training):
+        """Ioffe & Szegedy (arXiv 1502.03167), Algorithm 1 and its chain rule."""
+        rng = np.random.default_rng(17)
+        bn = BatchNorm(4)
+        bn.gamma[:] = rng.standard_normal(4)
+        bn.beta[:] = rng.standard_normal(4)
+        bn.running_mean[:] = rng.standard_normal(4)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, 4)
+        x = rng.standard_normal((3, 4, 5, 6)) * 2.0 + 1.5
+        x0 = x.copy()
+        bn.forward(x, training=training)
+        bn.forward(x, training=training)
+        assert np.array_equal(x, x0)
+        g = rng.standard_normal(x.shape)
+        bn.zero_grad()
+        gx = bn.backward(g)
+        axes, shape = (0, 2, 3), (1, 4, 1, 1)
+        if training:
+            m = x.size // 4
+            mu = x.mean(axis=axes).reshape(shape)
+            var = x.var(axis=axes).reshape(shape)
+        else:
+            mu, var = bn.running_mean.reshape(shape), bn.running_var.reshape(shape)
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (x - mu) * inv
+        dxhat = g * bn.gamma.reshape(shape)
+        expected = dxhat * inv
+        if training:
+            dvar = (dxhat * (x - mu)).sum(axis=axes, keepdims=True) * -0.5 * inv**3
+            dmu = -(dxhat * inv).sum(axis=axes, keepdims=True) \
+                - dvar * 2.0 * (x - mu).sum(axis=axes, keepdims=True) / m
+            expected = expected + dvar * 2.0 * (x - mu) / m + dmu / m
+        assert_rel_close(gx, expected)
+        assert_rel_close(bn._grads["gamma"], (g * xhat).sum(axis=axes))
+        assert_rel_close(bn._grads["beta"], g.sum(axis=axes))
 
     def test_gamma_beta_affine(self):
         rng = np.random.default_rng(8)

@@ -411,6 +411,22 @@ class TestEvaluateAndCheckpoints:
         with pytest.raises(InputError, match=re.escape(f"{path}.json: cannot read")):
             train.load_checkpoint(path, A)
 
+    def test_failed_sidecar_write_keeps_previous(self, tmp_path, monkeypatch):
+        *_, model, stats = self.trained(tmp_path)
+        path = str(tmp_path / "ckpt_final.pgt")
+        before = (tmp_path / "ckpt_final.pgt.json").read_bytes()
+        listing = sorted(p.name for p in tmp_path.iterdir())
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"num_persons": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            train.save_checkpoint(path, model, stats)
+        assert (tmp_path / "ckpt_final.pgt.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
     def test_checkpoint_container_missing(self, tmp_path):
         _, A, *_ = self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
