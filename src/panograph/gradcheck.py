@@ -201,7 +201,7 @@ def layer_suite(seed: int, coverage: Coverage) -> dict[str, float]:
         if errs:
             results[name] = max(errs.values())
 
-    run("sgc", SpatialGraphConv(4, 3, A, rng), (B, 4, T, N))
+    run("sgc", SpatialGraphConv(4, 3, A, Np, rng), (B, 4, T, N))
     run("conv1x1", Conv1x1(4, 3, rng), (B, 4, T, N))
     run("conv1x1_strided", Conv1x1(4, 3, rng, stride=2), (B, 4, T, N))
     run("tconv_d1", TemporalConv(3, 4, rng, dilation=1), (B, 3, T, N))

@@ -83,10 +83,9 @@ class MultiScaleTCN(Module):
 
     def backward(self, grad_out):
         bc = self.branch_channels
-        gx = None
-        for i, branch in enumerate(self.branches):
-            g = branch.backward(grad_out[:, i * bc : (i + 1) * bc])
-            gx = g if gx is None else gx + g
+        gx = self.branches[0].backward(grad_out[:, :bc])
+        for i, branch in enumerate(self.branches[1:], start=1):
+            gx += branch.backward(grad_out[:, i * bc : (i + 1) * bc])
         return gx
 
 
@@ -103,7 +102,9 @@ class BasicBlock(Module):
     ):
         super().__init__()
         self.stride = stride
-        self.sgc = self.add("sgc", SpatialGraphConv(in_channels, out_channels, adjacency, rng))
+        self.sgc = self.add(
+            "sgc", SpatialGraphConv(in_channels, out_channels, adjacency, nodes_per_person, rng)
+        )
         self.bn1 = self.add("bn1", BatchNorm(out_channels))
         self.relu1 = self.add("relu1", ReLU())
         self.res1 = None
@@ -127,7 +128,8 @@ class BasicBlock(Module):
         return y2 + self.att.forward(y2, training)
 
     def backward(self, grad_out):
-        gy2 = grad_out + self.att.backward(grad_out)
+        gy2 = self.att.backward(grad_out)
+        gy2 += grad_out
         gpre2 = self.relu2.backward(gy2)
         gy1 = self.tcn.backward(self.bn2.backward(gpre2))
         gy1 += gpre2 if self.res2 is None else self.res2.backward(gpre2)

@@ -211,17 +211,50 @@ class SpatialGraphConv(Module):
     """Partitioned graph convolution: sum_k (E_k * A_hat_k) x W_k per frame.
 
     ``adjacency`` is the (3, N, N) stack of normalized partitions; E_k is a
-    learnable elementwise mask initialized to ones.
+    learnable elementwise mask initialized to ones. Node i belongs to person
+    i // nodes_per_person, and each partition's support splits in two:
+    the within-person diagonal blocks, aggregated by one batched matmul into
+    a stacked buffer that a single gemm mixes over the stacked W_k, and the
+    cross-person entries, aggregated and mixed on their hub nodes only. No
+    product visits the zeros between persons; with nodes_per_person = N
+    there is one block and no hub, which is the dense product.
     """
 
-    def __init__(self, in_channels, out_channels, adjacency, rng):
+    def __init__(self, in_channels, out_channels, adjacency, nodes_per_person, rng):
         super().__init__()
+        K, n, _ = adjacency.shape
+        P = nodes_per_person
+        if P < 1 or n % P:
+            raise ConfigError(f"adjacency of {n} nodes does not split into persons of {P} nodes")
         self.adjacency = adjacency
-        self.K = adjacency.shape[0]
-        n = adjacency.shape[1]
-        for k in range(self.K):
+        self.K = K
+        for k in range(K):
             self.param(f"W{k}", kaiming_uniform(rng, (in_channels, out_channels), in_channels))
             self.param(f"E{k}", np.ones((n, n)))
+        # flat (M, P, P) indices of the diagonal blocks in an (N, N) matrix
+        first = P * np.arange(n // P)[:, None, None]
+        self._block_idx = (first + np.arange(P)[:, None]) * n + first + np.arange(P)
+        person = np.arange(n) // P
+        self._blocks = []  # (k, A_k on the blocks) for partitions with within-person entries
+        self._hubs = []  # (k, hub nodes, flat hub x hub indices, cross-person A_k there)
+        for k in range(K):
+            blocks = adjacency[k].take(self._block_idx)
+            if blocks.any():
+                self._blocks.append((k, blocks))
+            cross = np.where(person[:, None] == person, 0.0, adjacency[k])
+            hubs = np.flatnonzero(cross.any(axis=0) | cross.any(axis=1))
+            if hubs.size:
+                on_hubs = hubs[:, None] * n + hubs
+                self._hubs.append((k, hubs, on_hubs, cross.take(on_hubs)))
+
+    def _stacked_w(self):
+        return np.concatenate([self._params[f"W{k}"] for k, _ in self._blocks])
+
+    def _person_view(self, a):
+        """(B, C, T, N) -> (B, M, C*T, P) view: one (C*T, P) matrix per person."""
+        B, C, T, _ = a.shape
+        M, P, _ = self._block_idx.shape
+        return a.reshape(B, C * T, M, P).transpose(0, 2, 1, 3)
 
     def forward(self, x, training=False):
         if x.shape[3] != self.adjacency.shape[1]:
@@ -229,29 +262,54 @@ class SpatialGraphConv(Module):
                 f"node dim {x.shape[3]} does not match adjacency {self.adjacency.shape[1]}"
             )
         self._x = x
-        self._z = []
         B, C, T, N = x.shape
-        x2 = x.reshape(-1, N)
-        out = None
-        for k in range(self.K):
-            mk = self._params[f"E{k}"] * self.adjacency[k]
-            z = (x2 @ mk.T).reshape(B, C, T * N)  # aggregate neighbours, one gemm
-            self._z.append(z)
-            term = self._params[f"W{k}"].T @ z
-            out = term if out is None else out + term
-        return out.reshape(B, -1, T, N)
+        M, P, _ = self._block_idx.shape
+        xp = self._person_view(x)
+        z = np.empty((B, len(self._blocks), C * T, M, P))
+        for i, (k, blocks) in enumerate(self._blocks):
+            mk = self._params[f"E{k}"].take(self._block_idx) * blocks
+            np.matmul(xp, mk.transpose(0, 2, 1), out=z[:, i].transpose(0, 2, 1, 3))
+        self._z = z
+        out = (self._stacked_w().T @ z.reshape(B, -1, T * N)).reshape(B, -1, T, N)
+        self._hub_x = []
+        for k, hubs, on_hubs, cross in self._hubs:
+            h = hubs.size
+            xh = x.take(hubs, axis=3)  # (B, C, T, h)
+            mc = self._params[f"E{k}"].take(on_hubs) * cross
+            zc = (xh.reshape(-1, h) @ mc.T).reshape(B, C, T * h)
+            mixed = (self._params[f"W{k}"].T @ zc).reshape(B, -1, T, h)
+            out[..., hubs] = out.take(hubs, axis=3) + mixed  # faster than += through an index
+            self._hub_x.append((xh, zc))
+        return out
 
     def backward(self, grad_out):
-        B, C, T, N = self._x.shape
-        x2 = self._x.reshape(-1, N)
-        gx = np.zeros_like(x2)
+        x = self._x
+        B, C, T, N = x.shape
         g2 = grad_out.reshape(B, -1, T * N)
-        for k in range(self.K):
-            self._grads[f"W{k}"] += np.matmul(self._z[k], g2.transpose(0, 2, 1)).sum(axis=0)
-            gz = (self._params[f"W{k}"] @ g2).reshape(-1, N)
-            self._grads[f"E{k}"] += (gz.T @ x2) * self.adjacency[k]
-            gx += gz @ (self._params[f"E{k}"] * self.adjacency[k])
-        return gx.reshape(B, C, T, N)
+        z = self._z
+        L = z.shape[1]
+        dw = np.matmul(z.reshape(B, L * C, T * N), g2.transpose(0, 2, 1)).sum(axis=0)
+        gz = (self._stacked_w() @ g2).reshape(z.shape)
+        xp = self._person_view(x)
+        gx, step = np.empty(x.shape), np.empty(x.shape)
+        for i, (k, blocks) in enumerate(self._blocks):
+            self._grads[f"W{k}"] += dw[i * C : (i + 1) * C]
+            gzp = gz[:, i].transpose(0, 2, 1, 3)
+            dm = np.matmul(gzp.transpose(0, 1, 3, 2), xp).sum(axis=0)  # (M, P, P)
+            self._grads[f"E{k}"].reshape(-1)[self._block_idx] += dm * blocks
+            mk = self._params[f"E{k}"].take(self._block_idx) * blocks
+            np.matmul(gzp, mk, out=self._person_view(step if i else gx))
+            if i:
+                gx += step
+        for (k, hubs, on_hubs, cross), (xh, zc) in zip(self._hubs, self._hub_x):
+            h = hubs.size
+            gh = grad_out.take(hubs, axis=3).reshape(B, -1, T * h)
+            self._grads[f"W{k}"] += np.matmul(zc, gh.transpose(0, 2, 1)).sum(axis=0)
+            gzc = (self._params[f"W{k}"] @ gh).reshape(-1, h)
+            self._grads[f"E{k}"].reshape(-1)[on_hubs] += (gzc.T @ xh.reshape(-1, h)) * cross
+            mc = self._params[f"E{k}"].take(on_hubs) * cross
+            gx[..., hubs] = gx.take(hubs, axis=3) + (gzc @ mc).reshape(B, C, T, h)
+        return gx
 
 
 class Linear(Module):

@@ -50,7 +50,7 @@ class TestSpatialGraphConv:
     def test_identity_composition(self):
         rng = np.random.default_rng(0)
         n, C = 4, 3
-        layer = SpatialGraphConv(C, C, identity_adjacency(n), rng)
+        layer = SpatialGraphConv(C, C, identity_adjacency(n), n, rng)
         layer._params["W0"][:] = np.eye(C)
         for k in (1, 2):
             layer._params[f"W{k}"][:] = 0.0
@@ -61,7 +61,7 @@ class TestSpatialGraphConv:
         rng = np.random.default_rng(1)
         A = np.zeros((3, 2, 2))
         A[1] = np.array([[0.0, 1.0], [1.0, 0.0]])
-        layer = SpatialGraphConv(1, 1, A, rng)
+        layer = SpatialGraphConv(1, 1, A, 2, rng)
         layer._params["W0"][:] = 0.0
         layer._params["W1"][:] = 1.0
         layer._params["W2"][:] = 0.0
@@ -75,7 +75,7 @@ class TestSpatialGraphConv:
         n, cin, cout, T, B = 3, 2, 3, 1, 3
         A = rng.uniform(0, 1, size=(3, n, n))
         A = (A + A.transpose(0, 2, 1)) / 2
-        layer = SpatialGraphConv(cin, cout, A, rng)
+        layer = SpatialGraphConv(cin, cout, A, n, rng)
         for k in range(3):
             layer._params[f"E{k}"][:] = rng.standard_normal((n, n))
         x = rng.standard_normal((B, cin, T, n))
@@ -92,20 +92,19 @@ class TestSpatialGraphConv:
                                 expected[b, co, 0, i] += mk[i, j] * x[b, ci, 0, j] * W[ci, co]
         assert np.max(np.abs(out - expected)) < 1e-12
 
-    def test_gradients_match_einsum(self):
-        """dW_k, dE_k (on the support, exactly 0 off it) and dx on a coco17 M=2 graph."""
-        rng = np.random.default_rng(30)
-        A = graph.partition_and_normalize(graph.build_topology("coco17", 2, 17, 1)).A_hat
+    @staticmethod
+    def check_against_einsum(A, nodes_per_person, rng):
+        """Output, dW_k, dE_k (on the support, exactly 0 off it) and dx against einsum."""
         C, O, T, N = 4, 6, 5, A.shape[1]
-        assert N == 36
-        layer = SpatialGraphConv(C, O, A, rng)
+        layer = SpatialGraphConv(C, O, A, nodes_per_person, rng)
         x = rng.standard_normal((3, C, T, N))
-        _, g, gx, grads = forward_backward(layer, x, rng)
-        exp_gx = 0.0
+        out, g, gx, grads = forward_backward(layer, x, rng)
+        exp_out = exp_gx = 0.0
         for k in range(3):
             mk = layer._params[f"E{k}"] * A[k]
             W = layer._params[f"W{k}"]
             z = np.einsum("bctj,lj->bctl", x, mk)
+            exp_out = exp_out + np.einsum("bctl,co->botl", z, W)
             assert_rel_close(grads[f"W{k}"], np.einsum("bctl,botl->co", z, g))
             gz = np.einsum("co,botl->bctl", W, g)
             on = A[k] != 0
@@ -113,10 +112,44 @@ class TestSpatialGraphConv:
             assert_rel_close(grads[f"E{k}"][on], exp_dE[on])
             assert np.all(grads[f"E{k}"][~on] == 0.0)
             exp_gx = exp_gx + np.einsum("bctl,lj->bctj", gz, mk)
+        assert_rel_close(out, exp_out)
         assert_rel_close(gx, exp_gx)
 
+    def test_gradients_match_einsum(self):
+        """coco17 M=2: partition 1 lies in the person blocks, partition 2 on the hubs."""
+        rng = np.random.default_rng(30)
+        A = graph.partition_and_normalize(graph.build_topology("coco17", 2, 17, 1)).A_hat
+        assert A.shape[1] == 36
+        self.check_against_einsum(A, 18, rng)
+
+    @pytest.mark.parametrize("nodes_per_person", [4, 12])
+    def test_mixed_partitions_match_einsum(self, nodes_per_person):
+        """Partitions 1 and 2 each have entries within and between persons.
+
+        Random E and a within-person entry between two hubs make double
+        counting on the hubs show; 12 = N is the single dense block.
+        """
+        rng = np.random.default_rng(31)
+        M, P = 3, 4
+        n = M * P
+        A = identity_adjacency(n)
+        for k in (1, 2):
+            R = rng.uniform(0.5, 1.5, (n, n)) * (rng.uniform(size=(n, n)) < 0.4)
+            np.fill_diagonal(R, 0.0)
+            A[k] = R + R.T if k == 1 else R  # partition 2 is not symmetric
+        person = np.arange(n) // P
+        within = person[:, None] == person
+        for k in (1, 2):
+            hub = (A[k] * ~within).any(axis=0) | (A[k] * ~within).any(axis=1)
+            assert (A[k] * within)[np.ix_(hub, hub)].any()
+        self.check_against_einsum(A, nodes_per_person, rng)
+
+    def test_persons_must_divide_nodes(self):
+        with pytest.raises(ConfigError, match="36 nodes .* persons of 5 nodes"):
+            SpatialGraphConv(2, 2, identity_adjacency(36), 5, np.random.default_rng(0))
+
     def test_node_mismatch(self):
-        layer = SpatialGraphConv(2, 2, identity_adjacency(4), np.random.default_rng(0))
+        layer = SpatialGraphConv(2, 2, identity_adjacency(4), 2, np.random.default_rng(0))
         with pytest.raises(ContractError):
             layer.forward(np.zeros((1, 2, 3, 5)))
 

@@ -223,10 +223,13 @@ class TestTrainLoop:
         ds = tiny_dataset(cfg, 8, np.random.default_rng(4))
         runs = []
         for _ in range(2):
-            _, _, records = train.train_loop(ds, cfg, self.make_cfg(), A, out_dir=None)
+            tc = self.make_cfg(base_lr=0.002)  # 0.05 diverges to a loss of ~1e19 here
+            _, _, records = train.train_loop(ds, cfg, tc, A, out_dir=None)
             runs.append(records)
         assert runs[0] == runs[1]
         assert set(runs[0][0]) == {"epoch", "lr", "train_loss", "train_mca", "val_mca"}
+        assert all(np.isfinite(r["train_loss"]) for r in runs[0])
+        assert runs[0][-1]["train_loss"] < runs[0][0]["train_loss"]
 
     def test_single_sample_memorization(self):
         cfg, A = tiny_setup()
