@@ -79,6 +79,8 @@ def read_tensor_container(path: str) -> dict[str, np.ndarray]:
             off += 4 * rank
         except struct.error as exc:
             raise FormatError(f"{path}: truncated entry header at offset {off}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: entry name at offset {off} is not UTF-8") from exc
         if tag not in _DTYPES:
             raise FormatError(f"{path}: entry {name!r} has unknown dtype tag {tag}")
         if name in out:
@@ -295,7 +297,13 @@ def load_manifest(data_dir: str) -> dict:
     if not os.path.exists(path):
         raise InputError(f"no manifest.json in {data_dir}")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+            raise FormatError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
+        raise FormatError(f"{path}: expected an object with a 'samples' list")
+    return manifest
 
 
 def save_manifest(data_dir: str, manifest: dict) -> None:

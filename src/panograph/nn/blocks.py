@@ -17,7 +17,11 @@ from .layers import (
 
 
 class _ConvBranch(Module):
-    """bottleneck -> BN -> ReLU -> dilated 3x1 temporal conv."""
+    """(bottleneck) -> BN -> ReLU -> dilated 3x1 temporal conv.
+
+    The bottleneck only holds its weight: MultiScaleTCN applies all four
+    bottlenecks as one gemm, and the branch continues from its slice.
+    """
 
     def __init__(self, in_channels, branch_channels, rng, stride, dilation):
         super().__init__()
@@ -29,17 +33,15 @@ class _ConvBranch(Module):
             TemporalConv(branch_channels, branch_channels, rng, stride=stride, dilation=dilation),
         )
 
-    def forward(self, x, training=False):
-        y = self.relu.forward(self.bn.forward(self.bottleneck.forward(x), training))
-        return self.tconv.forward(y, training)
+    def forward(self, y, training=False):
+        return self.tconv.forward(self.relu.forward(self.bn.forward(y, training)), training)
 
     def backward(self, grad_out):
-        g = self.tconv.backward(grad_out)
-        return self.bottleneck.backward(self.bn.backward(self.relu.backward(g)))
+        return self.bn.backward(self.relu.backward(self.tconv.backward(grad_out)))
 
 
 class _PoolBranch(Module):
-    """bottleneck -> BN -> ReLU -> 3x1 temporal max pooling."""
+    """(bottleneck) -> BN -> ReLU -> 3x1 temporal max pooling; see _ConvBranch."""
 
     def __init__(self, in_channels, branch_channels, rng, stride):
         super().__init__()
@@ -48,13 +50,11 @@ class _PoolBranch(Module):
         self.relu = self.add("relu", ReLU())
         self.pool = self.add("pool", MaxPoolT(stride=stride))
 
-    def forward(self, x, training=False):
-        y = self.relu.forward(self.bn.forward(self.bottleneck.forward(x), training))
-        return self.pool.forward(y, training)
+    def forward(self, y, training=False):
+        return self.pool.forward(self.relu.forward(self.bn.forward(y, training)), training)
 
     def backward(self, grad_out):
-        g = self.pool.backward(grad_out)
-        return self.bottleneck.backward(self.bn.backward(self.relu.backward(g)))
+        return self.bn.backward(self.relu.backward(self.pool.backward(grad_out)))
 
 
 class MultiScaleTCN(Module):
@@ -62,7 +62,10 @@ class MultiScaleTCN(Module):
 
     Branches: 3x1 conv at dilation 1, 3x1 conv at dilation 2, 3x1 max
     pooling, and a plain (strided) bottleneck. All branches share the block
-    stride so T_out = ceil(T / stride).
+    stride so T_out = ceil(T / stride). The four 1x1 bottlenecks (b3 is the
+    fourth) only own their weights and gradients: they run as one gemm over
+    the stacked weights, branch i continues from channel slice i of its
+    output, and b3's output is its strided slice.
     """
 
     def __init__(self, in_channels, out_channels, rng, stride=1):
@@ -71,22 +74,38 @@ class MultiScaleTCN(Module):
             raise ConfigError(f"TCN output channels {out_channels} not divisible by 4")
         bc = out_channels // 4
         self.branch_channels = bc
+        self.stride = stride
         self.branches = [
             self.add("b0", _ConvBranch(in_channels, bc, rng, stride, dilation=1)),
             self.add("b1", _ConvBranch(in_channels, bc, rng, stride, dilation=2)),
             self.add("b2", _PoolBranch(in_channels, bc, rng, stride)),
             self.add("b3", Conv1x1(in_channels, bc, rng, stride=stride)),
         ]
+        self._bottlenecks = [b.bottleneck for b in self.branches[:3]] + self.branches[3:]
+
+    def _stacked_w(self):
+        return np.concatenate([conv.w for conv in self._bottlenecks])
 
     def forward(self, x, training=False):
-        return np.concatenate([b.forward(x, training) for b in self.branches], axis=1)
+        self._x, bc = x, self.branch_channels
+        B, C, T, N = x.shape
+        y = (self._stacked_w() @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
+        outs = [b.forward(y[:, i * bc : (i + 1) * bc], training)
+                for i, b in enumerate(self.branches[:3])]
+        return np.concatenate(outs + [y[:, 3 * bc :, :: self.stride]], axis=1)
 
     def backward(self, grad_out):
-        bc = self.branch_channels
-        gx = self.branches[0].backward(grad_out[:, :bc])
-        for i, branch in enumerate(self.branches[1:], start=1):
-            gx += branch.backward(grad_out[:, i * bc : (i + 1) * bc])
-        return gx
+        x, bc = self._x, self.branch_channels
+        B, C, T, N = x.shape
+        gy = np.zeros((B, 4 * bc, T, N), dtype=grad_out.dtype)
+        for i, b in enumerate(self.branches[:3]):
+            gy[:, i * bc : (i + 1) * bc] = b.backward(grad_out[:, i * bc : (i + 1) * bc])
+        gy[:, 3 * bc :, :: self.stride] = grad_out[:, 3 * bc :]
+        g2 = gy.reshape(B, -1, T * N)
+        dw = np.matmul(g2, x.reshape(B, C, T * N).transpose(0, 2, 1)).sum(axis=0)
+        for i, conv in enumerate(self._bottlenecks):
+            conv._grads["w"] += dw[i * bc : (i + 1) * bc]
+        return (self._stacked_w().T @ g2).reshape(B, C, T, N)
 
 
 class BasicBlock(Module):
@@ -119,13 +138,16 @@ class BasicBlock(Module):
         self.att = self.add("att", STPAttention(out_channels, num_persons, nodes_per_person, rng))
 
     def forward(self, x, training=False):
+        # BN and attention outputs are fresh arrays no layer caches: add into them in place
         s = self.bn1.forward(self.sgc.forward(x, training), training)
-        r1 = x if self.res1 is None else self.res1.forward(x, training)
-        y1 = self.relu1.forward(s + r1)
+        s += x if self.res1 is None else self.res1.forward(x, training)
+        y1 = self.relu1.forward(s)
         t = self.bn2.forward(self.tcn.forward(y1, training), training)
-        r2 = y1 if self.res2 is None else self.res2.forward(y1, training)
-        y2 = self.relu2.forward(t + r2)
-        return y2 + self.att.forward(y2, training)
+        t += y1 if self.res2 is None else self.res2.forward(y1, training)
+        y2 = self.relu2.forward(t)
+        out = self.att.forward(y2, training)
+        out += y2
+        return out
 
     def backward(self, grad_out):
         gy2 = self.att.backward(grad_out)

@@ -1,6 +1,8 @@
 """Primitive layers on (B, C, T, N) tensors with manual backward passes."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ConfigError, ContractError
@@ -49,10 +51,32 @@ class Conv1x1(Module):
         return gx
 
 
+@functools.lru_cache(maxsize=64)
+def _frame_taps(T, stride, offsets):
+    """T_out and one (output frames, input frames) slice pair per tap offset.
+
+    The window at output frame t reads input frame stride * t + o for each
+    offset o, with T_out = ceil(T / stride). Each pair keeps only the output
+    frames whose tap lands inside [0, T), so a tap is one strided frame
+    slice of the input and no padded copy is needed. Cached: at small
+    shapes this arithmetic costs as much as the pooling itself.
+    """
+    T_out = (T - 1) // stride + 1
+    taps = []
+    for o in offsets:
+        lo = max(0, -(o // stride))  # first t with stride * t + o >= 0
+        hi = max(lo, min(T_out, (T - 1 - o) // stride + 1))
+        start = stride * lo + o
+        taps.append((slice(lo, hi), slice(start, start + stride * (hi - lo), stride)))
+    return T_out, tuple(taps)
+
+
 class TemporalConv(Module):
     """3 x 1 convolution along the frame axis with dilation and stride.
 
-    Symmetric zero padding keeps T_out = ceil(T / stride).
+    Symmetric zero padding keeps T_out = ceil(T / stride). The im2col
+    buffer is filled tap by tap from frame slices; only the out-of-clip
+    edges are zeroed.
     """
 
     def __init__(self, in_channels, out_channels, rng, stride=1, dilation=1):
@@ -63,79 +87,71 @@ class TemporalConv(Module):
         shape = (out_channels, in_channels, self.kernel)
         self.w = self.param("w", kaiming_uniform(rng, shape, in_channels * self.kernel))
 
-    def _window_index(self, T):
-        # (kernel, T_out) tap positions into the padded sequence
-        pad = self.dilation * (self.kernel - 1) // 2
-        T_out = (T - 1) // self.stride + 1
-        starts = self.stride * np.arange(T_out)
-        taps = self.dilation * np.arange(self.kernel)
-        return pad, T_out, taps[:, None] + starts[None, :]
-
     def forward(self, x, training=False):
         B, C, T, N = x.shape
-        pad, T_out, idx = self._window_index(T)
-        xp = np.zeros((B, C, T + 2 * pad, N), dtype=x.dtype)
-        xp[:, :, pad : pad + T, :] = x
-        xw = xp[:, :, idx, :]  # (B, C, kernel, T_out, N)
+        T_out, taps = _frame_taps(T, self.stride, (-self.dilation, 0, self.dilation))
+        xw = np.empty((B, C, self.kernel, T_out, N), dtype=x.dtype)
+        for k, (t, f) in enumerate(taps):
+            xw[:, :, k, t] = x[:, :, f]
+            xw[:, :, k, : t.start] = 0.0
+            xw[:, :, k, t.stop :] = 0.0
         xw2 = xw.reshape(B, C * self.kernel, T_out * N)
-        self._cache = (xw2, T, T_out, pad, idx)
+        self._cache = (xw2, T, taps)
         O = self.w.shape[0]
         return (self.w.reshape(O, -1) @ xw2).reshape(B, O, T_out, N)
 
     def backward(self, grad_out):
-        xw2, T, T_out, pad, idx = self._cache
-        B, O, _, N = grad_out.shape
+        xw2, T, taps = self._cache
+        B, O, T_out, N = grad_out.shape
         g2 = grad_out.reshape(B, O, T_out * N)
         self._grads["w"] += np.matmul(g2, xw2.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
         gxw = (self.w.reshape(O, -1).T @ g2).reshape(B, -1, self.kernel, T_out, N)
-        gxp = np.zeros((B, gxw.shape[1], T + 2 * pad, N), dtype=grad_out.dtype)
-        for k in range(self.kernel):
-            gxp[:, :, idx[k], :] += gxw[:, :, k]
-        return gxp[:, :, pad : pad + T, :]
+        gx = np.zeros((B, gxw.shape[1], T, N), dtype=grad_out.dtype)
+        for k, (t, f) in enumerate(taps):
+            gx[:, :, f] += gxw[:, :, k, t]
+        return gx
 
 
 class MaxPoolT(Module):
     """Temporal max pooling, window 3, same padding, configurable stride.
 
-    The window at output frame t reads padded frames s*t + k, k = 0, 1, 2, so
-    each k is one strided view ("tap") of the -inf-padded input. ``_argmax``
-    holds the winning tap as int8; ties go to the first, as ``np.argmax``.
+    The window at output frame t reads frames s*t - 1, s*t, s*t + 1 inside
+    the clip (taps 0, 1, 2), each one frame slice of the input; the centre
+    tap covers every output frame. ``_argmax`` holds the winning tap as
+    int8; ties go to the first, as ``np.argmax``.
     """
 
     def __init__(self, stride=1):
         super().__init__()
-        self.kernel = 3
         self.stride = stride
 
-    def _taps(self, xp, T_out):
-        last = self.stride * (T_out - 1) + 1
-        return [xp[:, :, k : k + last : self.stride] for k in range(self.kernel)]
-
     def forward(self, x, training=False):
-        B, C, T, N = x.shape
-        T_out = (T - 1) // self.stride + 1
-        xp = np.full((B, C, T + 2, N), -np.inf, dtype=x.dtype)
-        xp[:, :, 1 : T + 1] = x
-        taps = self._taps(xp, T_out)
-        self._T = T
+        _, self._taps = _frame_taps(x.shape[2], self.stride, (-1, 0, 1))
+        self._shape = x.shape
+        (t0, f0), (_, centre), (t2, f2) = self._taps
+        out = x[:, :, centre].copy()
         if getattr(self, "_freeze_kinks", False):
-            return np.choose(self._argmax, taps)
-        out = taps[0].copy()
-        self._argmax = np.zeros(out.shape, dtype=np.int8)
-        for k in range(1, self.kernel):
-            hit = taps[k] > out
-            np.copyto(out, taps[k], where=hit)
-            self._argmax[hit] = k
+            for k in (0, 2):
+                t, f = self._taps[k]
+                np.copyto(out[:, :, t], x[:, :, f], where=self._argmax[:, :, t] == k)
+            return out
+        # strict > gives a tie to the earlier tap, as np.argmax; np.maximum only takes values
+        am = self._argmax = np.ones(out.shape, dtype=np.int8)
+        am[:, :, t0] = np.greater(out[:, :, t0], x[:, :, f0]).view(np.int8)  # 1: centre beats tap 0
+        np.maximum(x[:, :, f0], out[:, :, t0], out=out[:, :, t0])
+        late = np.greater(x[:, :, f2], out[:, :, t2]).view(np.int8)
+        np.maximum(out[:, :, t2], x[:, :, f2], out=out[:, :, t2])
+        late += late  # 2: tap 2 beats both
+        np.maximum(am[:, :, t2], late, out=am[:, :, t2])
         return out
 
     def backward(self, grad_out):
-        B, C, T_out, N = grad_out.shape
-        gxp = np.zeros((B, C, self._T + 2, N), dtype=grad_out.dtype)
-        taps = self._taps(gxp, T_out)
+        gx = np.zeros(self._shape, dtype=grad_out.dtype)
         # taps 2, 1, 0: each frame sums the shares of its windows in window order
-        for k in reversed(range(self.kernel)):
-            taps[k] += grad_out * (self._argmax == k)
-        return gxp[:, :, 1 : self._T + 1]
+        for k in reversed(range(3)):
+            t, f = self._taps[k]
+            gx[:, :, f] += grad_out[:, :, t] * (self._argmax[:, :, t] == k)
+        return gx
 
 
 def _channel_dot(a, b):

@@ -84,6 +84,14 @@ class TestReassign:
         assert cli.main(["reassign", "--data", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reassign", "features"])
+    @pytest.mark.parametrize("text", ["{not json", "{}", "[]"])
+    def test_malformed_manifest_exits_1(self, tmp_path, capsys, command, text):
+        (tmp_path / "manifest.json").write_text(text)
+        assert cli.main([command, "--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'manifest.json'}: ")
+
     def test_non_finite_record_exits_1(self, tmp_path, capsys):
         data = str(tmp_path / "data")
         assert cli.main(["synth", "--classes", "2", "--per-class", "1", "--persons", "2",

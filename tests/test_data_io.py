@@ -1,5 +1,6 @@
 """Tensor container, synthetic generator, and config parsing tests."""
 import json
+import re
 import struct
 
 import numpy as np
@@ -62,6 +63,15 @@ class TestContainer:
         path.write_bytes(b"PGT1" + struct.pack("<I", 1) + body)
         with pytest.raises(FormatError, match="dtype tag"):
             data_io.read_tensor_container(str(path))
+
+    def test_non_utf8_name(self, tmp_path):
+        path = str(tmp_path / "name.pgt")
+        data_io.write_tensor_container(path, {"ab": np.ones(2)})
+        raw = bytearray(open(path, "rb").read())
+        raw[10] = 0xFF  # first name byte: after magic, entry count and name length
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: entry name at offset 10 is not UTF-8")):
+            data_io.read_tensor_container(path)
 
     def test_duplicate_names_rejected_on_read(self, tmp_path):
         path = tmp_path / "dup.pgt"

@@ -154,6 +154,9 @@ class TestSpatialGraphConv:
             layer.forward(np.zeros((1, 2, 3, 5)))
 
 
+STRIDE_DILATION = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
 class TestTemporalConv:
     def naive(self, x, w, stride, dilation):
         B, C, T, N = x.shape
@@ -168,15 +171,39 @@ class TestTemporalConv:
                     out[:, :, to, :] += np.einsum("oc,bcn->bon", w[:, :, k], x[:, :, t, :])
         return out
 
-    @pytest.mark.parametrize("stride,dilation", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("stride,dilation", STRIDE_DILATION)
     def test_matches_naive(self, stride, dilation):
+        self.check_restatements(7, stride, dilation)
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("stride,dilation", STRIDE_DILATION)
+    def test_short_clips_match_naive(self, T, stride, dilation):
+        """At T <= 2 a tap can read no in-clip frame."""
+        self.check_restatements(T, stride, dilation)
+
+    def check_restatements(self, T, stride, dilation):
         rng = np.random.default_rng(3)
         layer = TemporalConv(3, 4, rng, stride=stride, dilation=dilation)
-        x = rng.standard_normal((3, 3, 7, 5))
+        x = rng.standard_normal((3, 3, T, 5))
         out = layer.forward(x)
         expected = self.naive(x, layer.w, stride, dilation)
         assert out.shape == expected.shape
         assert np.allclose(out, expected, atol=1e-12)
+        # bit for bit: the same gemm over windows gathered from the zero-padded input,
+        # and the input gradient scattered back into it in tap order 0, 1, 2
+        T_out = out.shape[2]
+        xp = np.pad(x, ((0, 0), (0, 0), (dilation, dilation), (0, 0)))
+        taps = [slice(dilation * k, dilation * k + stride * (T_out - 1) + 1, stride) for k in range(3)]
+        xw2 = np.stack([xp[:, :, tap] for tap in taps], axis=2).reshape(3, 9, T_out * 5)
+        w2 = layer.w.reshape(4, 9)
+        assert np.array_equal(layer._cache[0], xw2)
+        assert np.array_equal(out, (w2 @ xw2).reshape(out.shape))
+        g = rng.standard_normal(out.shape)
+        gxw = (w2.T @ g.reshape(3, 4, T_out * 5)).reshape(3, 3, 3, T_out, 5)
+        gxp = np.zeros_like(xp)
+        for k, tap in enumerate(taps):
+            gxp[:, :, tap] += gxw[:, :, k]
+        assert np.array_equal(layer.backward(g), gxp[:, :, dilation : dilation + T])
 
     def test_gradients_match_einsum(self):
         rng = np.random.default_rng(32)
@@ -232,8 +259,17 @@ class TestMaxPool:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_gather_restatement(self, stride):
+        self.check_restatement(7, stride)
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_short_clips_match_gather_restatement(self, stride, T):
+        """At T <= 2 a tap can read no in-clip frame."""
+        self.check_restatement(T, stride)
+
+    def check_restatement(self, T, stride):
         rng = np.random.default_rng(15)
-        B, C, T, N = 3, 4, 7, 5
+        B, C, N = 3, 4, 5
         x = rng.integers(-2, 3, (B, C, T, N)).astype(float)  # many tied neighbours
         layer = MaxPoolT(stride=stride)
         out = layer.forward(x)
@@ -344,14 +380,40 @@ class TestMultiScaleTCN:
             MultiScaleTCN(4, 6, np.random.default_rng(0))
 
     def test_branch_slices_match_standalone(self):
+        """Each quarter is its branch's own Conv1x1 -> BN -> ReLU -> tconv/pool."""
         rng = np.random.default_rng(9)
         tcn = MultiScaleTCN(3, 8, rng, stride=2)
         x = rng.standard_normal((2, 3, 6, 4))
         out = tcn.forward(x, training=True)
         bc = tcn.branch_channels
-        for i, branch in enumerate(tcn.branches):
-            expected = branch.forward(x, training=True)
-            assert np.allclose(out[:, i * bc : (i + 1) * bc], expected, atol=1e-12)
+        *branches, plain = tcn.branches
+        expected = [b.forward(b.bottleneck.forward(x), training=True) for b in branches]
+        expected.append(plain.forward(x))
+        for i, e in enumerate(expected):
+            assert np.allclose(out[:, i * bc : (i + 1) * bc], e, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_stacked_bottleneck_gradients_match_per_branch_sum(self, stride):
+        """gx and the four bottleneck dW against one Conv1x1 backward per branch, summed."""
+        rng = np.random.default_rng(34)
+        tcn = MultiScaleTCN(4, 12, rng, stride=stride)
+        x = rng.standard_normal((3, 4, 7, 5))
+        g = rng.standard_normal(tcn.forward(x, training=True).shape)
+        tcn.zero_grad()
+        gx = tcn.backward(g)
+        *branches, plain = tcn.branches
+        bottlenecks = [b.bottleneck for b in branches] + [plain]
+        dw = [conv._grads["w"].copy() for conv in bottlenecks]
+        tcn.zero_grad()
+        bc = tcn.branch_channels
+        plain.forward(x)
+        expected = plain.backward(g[:, 3 * bc :])
+        for i, b in enumerate(branches):
+            b.forward(b.bottleneck.forward(x), training=True)
+            expected += b.bottleneck.backward(b.backward(g[:, i * bc : (i + 1) * bc]))
+        assert_rel_close(gx, expected)
+        for conv, d in zip(bottlenecks, dw):
+            assert_rel_close(d, conv._grads["w"])
 
     def test_stride_halves_frames(self):
         tcn = MultiScaleTCN(2, 4, np.random.default_rng(10), stride=2)
