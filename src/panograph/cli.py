@@ -18,6 +18,7 @@ from .nn.model import STREAM_ORDER
 from .reassign import assemble_sequence, parse_jsonl
 
 GRADCHECK_TOL = 1e-4
+GRAPH_KEYS = ("layout", "num_persons", "num_joints", "num_objects")  # manifest keys of the graph
 
 
 def _worker_count() -> int:
@@ -79,7 +80,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_reassign(args) -> int:
-    manifest = data_io.load_manifest(args.data)
+    manifest = data_io.load_manifest(args.data, ("num_persons", "num_joints"),
+                                     ("id", "jsonl", "truth"))
     tensor_dir = os.path.join(args.data, "tensors")
     os.makedirs(tensor_dir, exist_ok=True)
     reports = {}
@@ -113,7 +115,7 @@ def _topology_from_manifest(manifest, inter_variant="pairwise"):
 
 
 def cmd_features(args) -> int:
-    manifest = data_io.load_manifest(args.data)
+    manifest = data_io.load_manifest(args.data, GRAPH_KEYS, ("id",))
     topo = _topology_from_manifest(manifest)
     feat_dir = os.path.join(args.data, "features")
     os.makedirs(feat_dir, exist_ok=True)
@@ -153,7 +155,8 @@ def _load_dataset(data_dir, manifest) -> train.Dataset:
 
 
 def cmd_train(args) -> int:
-    manifest = data_io.load_manifest(args.data)
+    keys = GRAPH_KEYS + ("num_frames", "num_classes")
+    manifest = data_io.load_manifest(args.data, keys, ("id", "label"))
     with open(args.config) as fh:
         raw = data_io.parse_flat_config(fh.read(), TRAIN_CONFIG_KEYS)
     divisor = raw.pop("channel_divisor", 1)
@@ -189,7 +192,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = data_io.load_manifest(args.data)
+    manifest = data_io.load_manifest(args.data, sample_keys=("id", "label"))
     ds = _load_dataset(args.data, manifest)
     loaded = [train.load_checkpoint(path) for path in args.ckpt]
     result = train.evaluate(ds, loaded, fuse=args.fuse)

@@ -292,7 +292,8 @@ def parse_flat_config(text: str, known_keys: dict[str, type]) -> dict:
     return out
 
 
-def load_manifest(data_dir: str) -> dict:
+def load_manifest(data_dir: str, keys=(), sample_keys=()) -> dict:
+    """The manifest; FormatError if it lacks 'samples', a ``keys`` key or a ``sample_keys`` key."""
     path = os.path.join(data_dir, "manifest.json")
     if not os.path.exists(path):
         raise InputError(f"no manifest.json in {data_dir}")
@@ -303,6 +304,10 @@ def load_manifest(data_dir: str) -> dict:
             raise FormatError(f"{path}: not JSON: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise FormatError(f"{path}: expected an object with a 'samples' list")
+    for i, entry in enumerate([manifest] + manifest["samples"]):
+        for key in sample_keys if i else keys:
+            if not isinstance(entry, dict) or key not in entry:
+                raise FormatError(f"{path}: {f'sample {i - 1} ' if i else ''}lacks key {key!r}")
     return manifest
 
 

@@ -34,7 +34,7 @@ class _ConvBranch(Module):
         )
 
     def forward(self, y, training=False):
-        return self.tconv.forward(self.relu.forward(self.bn.forward(y, training)), training)
+        return self.tconv.forward(self.relu.forward(self.bn.forward(y, training), training), training)
 
     def backward(self, grad_out):
         return self.bn.backward(self.relu.backward(self.tconv.backward(grad_out)))
@@ -51,7 +51,7 @@ class _PoolBranch(Module):
         self.pool = self.add("pool", MaxPoolT(stride=stride))
 
     def forward(self, y, training=False):
-        return self.pool.forward(self.relu.forward(self.bn.forward(y, training)), training)
+        return self.pool.forward(self.relu.forward(self.bn.forward(y, training), training), training)
 
     def backward(self, grad_out):
         return self.bn.backward(self.relu.backward(self.pool.backward(grad_out)))
@@ -87,15 +87,17 @@ class MultiScaleTCN(Module):
         return np.concatenate([conv.w for conv in self._bottlenecks])
 
     def forward(self, x, training=False):
-        self._x, bc = x, self.branch_channels
+        self._cache, bc = x if training else None, self.branch_channels
         B, C, T, N = x.shape
         y = (self._stacked_w() @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
+        # eval BN and ReLU work in place on the disjoint channel slices of the fresh y;
+        # b3's slice is only read, by the concatenate
         outs = [b.forward(y[:, i * bc : (i + 1) * bc], training)
                 for i, b in enumerate(self.branches[:3])]
         return np.concatenate(outs + [y[:, 3 * bc :, :: self.stride]], axis=1)
 
     def backward(self, grad_out):
-        x, bc = self._x, self.branch_channels
+        x, bc = self._saved(), self.branch_channels
         B, C, T, N = x.shape
         gy = np.zeros((B, 4 * bc, T, N), dtype=grad_out.dtype)
         for i, b in enumerate(self.branches[:3]):
@@ -138,13 +140,15 @@ class BasicBlock(Module):
         self.att = self.add("att", STPAttention(out_channels, num_persons, nodes_per_person, rng))
 
     def forward(self, x, training=False):
-        # BN and attention outputs are fresh arrays no layer caches: add into them in place
+        # Eval BN and ReLU overwrite their input, so each gets a fresh array only it holds:
+        # bn1 the SGC output, bn2 the TCN's concatenate, relu1/relu2 the BN output plus the
+        # residual (no layer caches a BN or attention output, so the adds go in place).
         s = self.bn1.forward(self.sgc.forward(x, training), training)
         s += x if self.res1 is None else self.res1.forward(x, training)
-        y1 = self.relu1.forward(s)
+        y1 = self.relu1.forward(s, training)
         t = self.bn2.forward(self.tcn.forward(y1, training), training)
         t += y1 if self.res2 is None else self.res2.forward(y1, training)
-        y2 = self.relu2.forward(t)
+        y2 = self.relu2.forward(t, training)
         out = self.att.forward(y2, training)
         out += y2
         return out

@@ -5,7 +5,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import FormatError, check_names
+from ..errors import ContractError, FormatError, check_names
 
 
 class Module:
@@ -14,7 +14,9 @@ class Module:
     Subclasses register learnable tensors with :meth:`param` (each gets a
     same-shaped gradient accumulator) and non-learnable state such as
     batch-norm running statistics with :meth:`buffer`. Composite modules
-    register children with :meth:`add`; parameter names are dot-joined.
+    register children with :meth:`add`; parameter names are dot-joined. A
+    training forward keeps what its backward reads in ``_cache``; an eval
+    forward (``training=False``) keeps nothing there.
     """
 
     def __init__(self):
@@ -22,6 +24,7 @@ class Module:
         self._grads: dict[str, np.ndarray] = {}
         self._buffers: dict[str, np.ndarray] = {}
         self._children: list[tuple[str, "Module"]] = []
+        self._cache = None
 
     def param(self, name: str, value: np.ndarray) -> np.ndarray:
         value = np.asarray(value, dtype=np.float64)
@@ -84,6 +87,12 @@ class Module:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _saved(self):
+        """``_cache`` for backward; ContractError if the last forward was eval."""
+        if self._cache is None:
+            raise ContractError(f"{type(self).__name__}.backward needs a training forward first")
+        return self._cache
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

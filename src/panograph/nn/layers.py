@@ -10,16 +10,19 @@ from .core import Module, kaiming_uniform
 
 
 class ReLU(Module):
-    """Rectifier; ``_freeze_kinks`` pins the active set for FD probing."""
+    """Rectifier; eval works in place on ``x``, ``_freeze_kinks`` pins the active set."""
 
     def forward(self, x, training=False):
+        if not training:
+            self._cache = None
+            return np.maximum(x, 0.0, out=x)
         if getattr(self, "_freeze_kinks", False):
-            return x * self._mask
-        self._mask = x > 0
+            return x * self._saved()
+        self._cache = x > 0
         return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
-        return grad_out * self._mask
+        return grad_out * self._saved()
 
 
 class Conv1x1(Module):
@@ -31,21 +34,19 @@ class Conv1x1(Module):
         self.w = self.param("w", kaiming_uniform(rng, (out_channels, in_channels), in_channels))
 
     def forward(self, x, training=False):
-        self._full_T = x.shape[2]
-        if self.stride > 1:
-            x = x[:, :, :: self.stride, :]
-        self._x = x
-        B, C, T, N = x.shape
-        return (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
+        xs = x[:, :, :: self.stride, :] if self.stride > 1 else x
+        self._cache = (xs, x.shape[2]) if training else None
+        B, C, T, N = xs.shape
+        return (self.w @ xs.reshape(B, C, T * N)).reshape(B, -1, T, N)
 
     def backward(self, grad_out):
+        x, full_T = self._saved()
         B, O, T, N = grad_out.shape
         g2 = grad_out.reshape(B, O, T * N)
-        x2 = self._x.reshape(B, -1, T * N)
-        self._grads["w"] += np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0)
+        self._grads["w"] += np.matmul(g2, x.reshape(B, -1, T * N).transpose(0, 2, 1)).sum(axis=0)
         gx = (self.w.T @ g2).reshape(B, -1, T, N)
         if self.stride > 1:
-            full = np.zeros((B, gx.shape[1], self._full_T, N), dtype=gx.dtype)
+            full = np.zeros((B, gx.shape[1], full_T, N), dtype=gx.dtype)
             full[:, :, :: self.stride, :] = gx
             return full
         return gx
@@ -96,12 +97,12 @@ class TemporalConv(Module):
             xw[:, :, k, : t.start] = 0.0
             xw[:, :, k, t.stop :] = 0.0
         xw2 = xw.reshape(B, C * self.kernel, T_out * N)
-        self._cache = (xw2, T, taps)
+        self._cache = (xw2, T, taps) if training else None
         O = self.w.shape[0]
         return (self.w.reshape(O, -1) @ xw2).reshape(B, O, T_out, N)
 
     def backward(self, grad_out):
-        xw2, T, taps = self._cache
+        xw2, T, taps = self._saved()
         B, O, T_out, N = grad_out.shape
         g2 = grad_out.reshape(B, O, T_out * N)
         self._grads["w"] += np.matmul(g2, xw2.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
@@ -117,8 +118,8 @@ class MaxPoolT(Module):
 
     The window at output frame t reads frames s*t - 1, s*t, s*t + 1 inside
     the clip (taps 0, 1, 2), each one frame slice of the input; the centre
-    tap covers every output frame. ``_argmax`` holds the winning tap as
-    int8; ties go to the first, as ``np.argmax``.
+    tap covers every output frame. A training forward caches the winning
+    tap as int8 (ties go to the first, as ``np.argmax``) in ``_cache[0]``.
     """
 
     def __init__(self, stride=1):
@@ -126,31 +127,38 @@ class MaxPoolT(Module):
         self.stride = stride
 
     def forward(self, x, training=False):
-        _, self._taps = _frame_taps(x.shape[2], self.stride, (-1, 0, 1))
-        self._shape = x.shape
-        (t0, f0), (_, centre), (t2, f2) = self._taps
+        _, taps = _frame_taps(x.shape[2], self.stride, (-1, 0, 1))
+        (t0, f0), (_, centre), (t2, f2) = taps
         out = x[:, :, centre].copy()
+        if not training:
+            self._cache = None
+            np.maximum(x[:, :, f0], out[:, :, t0], out=out[:, :, t0])
+            np.maximum(out[:, :, t2], x[:, :, f2], out=out[:, :, t2])
+            return out
         if getattr(self, "_freeze_kinks", False):
+            am = self._saved()[0]
             for k in (0, 2):
-                t, f = self._taps[k]
-                np.copyto(out[:, :, t], x[:, :, f], where=self._argmax[:, :, t] == k)
+                t, f = taps[k]
+                np.copyto(out[:, :, t], x[:, :, f], where=am[:, :, t] == k)
             return out
         # strict > gives a tie to the earlier tap, as np.argmax; np.maximum only takes values
-        am = self._argmax = np.ones(out.shape, dtype=np.int8)
+        am = np.ones(out.shape, dtype=np.int8)
         am[:, :, t0] = np.greater(out[:, :, t0], x[:, :, f0]).view(np.int8)  # 1: centre beats tap 0
         np.maximum(x[:, :, f0], out[:, :, t0], out=out[:, :, t0])
         late = np.greater(x[:, :, f2], out[:, :, t2]).view(np.int8)
         np.maximum(out[:, :, t2], x[:, :, f2], out=out[:, :, t2])
         late += late  # 2: tap 2 beats both
         np.maximum(am[:, :, t2], late, out=am[:, :, t2])
+        self._cache = (am, x.shape, taps)
         return out
 
     def backward(self, grad_out):
-        gx = np.zeros(self._shape, dtype=grad_out.dtype)
+        am, shape, taps = self._saved()
+        gx = np.zeros(shape, dtype=grad_out.dtype)
         # taps 2, 1, 0: each frame sums the shares of its windows in window order
         for k in reversed(range(3)):
-            t, f = self._taps[k]
-            gx[:, :, f] += grad_out[:, :, t] * (self._argmax[:, :, t] == k)
+            t, f = taps[k]
+            gx[:, :, f] += grad_out[:, :, t] * (am[:, :, t] == k)
         return gx
 
 
@@ -166,6 +174,7 @@ class BatchNorm(Module):
 
     Training takes the variance from the centred x - mean (two passes), so a
     large channel mean does not cancel it, and caches x_hat for the backward.
+    Eval applies the running-statistics affine to ``x`` in place and returns it.
     """
 
     def __init__(self, channels):
@@ -179,12 +188,11 @@ class BatchNorm(Module):
 
     def forward(self, x, training=False):
         if not training:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            coef = self.gamma * inv_std
-            self._cache = (x, inv_std, False)
-            y = x * coef[:, None, None]
-            y += (self.beta - self.running_mean * coef)[:, None, None]
-            return y
+            coef = self.gamma * (1.0 / np.sqrt(self.running_var + self.eps))
+            self._cache = None
+            x *= coef[:, None, None]
+            x += (self.beta - self.running_mean * coef)[:, None, None]
+            return x
         B, C, T, N = x.shape
         m = B * T * N
         mean = np.add.reduce(x.reshape(B, C, T * N), axis=(0, 2)) / m
@@ -196,22 +204,16 @@ class BatchNorm(Module):
         self.running_var += (1 - self.momentum) * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std[:, None, None]
-        self._cache = (xhat, inv_std, True)
+        self._cache = (xhat, inv_std)
         y = xhat * self.gamma[:, None, None]
         y += self.beta[:, None, None]
         return y
 
     def backward(self, grad_out):
-        cached, inv_std, training = self._cache
-        axes = (0, 2, 3)
-        if not training:
-            xhat = (cached - self.running_mean[:, None, None]) * inv_std[:, None, None]
-            self._grads["beta"] += grad_out.sum(axis=axes)
-            self._grads["gamma"] += (grad_out * xhat).sum(axis=axes)
-            return grad_out * self.gamma[:, None, None] * inv_std[:, None, None]
+        cached, inv_std = self._saved()
         B, _, T, N = grad_out.shape
         m = B * T * N
-        dbeta = grad_out.sum(axis=axes)
+        dbeta = grad_out.sum(axis=(0, 2, 3))
         dgamma = _channel_dot(grad_out, cached)
         self._grads["beta"] += dbeta
         self._grads["gamma"] += dgamma
@@ -277,7 +279,6 @@ class SpatialGraphConv(Module):
             raise ContractError(
                 f"node dim {x.shape[3]} does not match adjacency {self.adjacency.shape[1]}"
             )
-        self._x = x
         B, C, T, N = x.shape
         M, P, _ = self._block_idx.shape
         xp = self._person_view(x)
@@ -285,9 +286,8 @@ class SpatialGraphConv(Module):
         for i, (k, blocks) in enumerate(self._blocks):
             mk = self._params[f"E{k}"].take(self._block_idx) * blocks
             np.matmul(xp, mk.transpose(0, 2, 1), out=z[:, i].transpose(0, 2, 1, 3))
-        self._z = z
         out = (self._stacked_w().T @ z.reshape(B, -1, T * N)).reshape(B, -1, T, N)
-        self._hub_x = []
+        hub_x = []
         for k, hubs, on_hubs, cross in self._hubs:
             h = hubs.size
             xh = x.take(hubs, axis=3)  # (B, C, T, h)
@@ -295,14 +295,14 @@ class SpatialGraphConv(Module):
             zc = (xh.reshape(-1, h) @ mc.T).reshape(B, C, T * h)
             mixed = (self._params[f"W{k}"].T @ zc).reshape(B, -1, T, h)
             out[..., hubs] = out.take(hubs, axis=3) + mixed  # faster than += through an index
-            self._hub_x.append((xh, zc))
+            hub_x.append((xh, zc))
+        self._cache = (x, z, hub_x) if training else None
         return out
 
     def backward(self, grad_out):
-        x = self._x
+        x, z, hub_x = self._saved()
         B, C, T, N = x.shape
         g2 = grad_out.reshape(B, -1, T * N)
-        z = self._z
         L = z.shape[1]
         dw = np.matmul(z.reshape(B, L * C, T * N), g2.transpose(0, 2, 1)).sum(axis=0)
         gz = (self._stacked_w() @ g2).reshape(z.shape)
@@ -317,7 +317,7 @@ class SpatialGraphConv(Module):
             np.matmul(gzp, mk, out=self._person_view(step if i else gx))
             if i:
                 gx += step
-        for (k, hubs, on_hubs, cross), (xh, zc) in zip(self._hubs, self._hub_x):
+        for (k, hubs, on_hubs, cross), (xh, zc) in zip(self._hubs, hub_x):
             h = hubs.size
             gh = grad_out.take(hubs, axis=3).reshape(B, -1, T * h)
             self._grads[f"W{k}"] += np.matmul(zc, gh.transpose(0, 2, 1)).sum(axis=0)
@@ -335,11 +335,11 @@ class Linear(Module):
         self.b = self.param("b", np.zeros(out_features))
 
     def forward(self, x, training=False):
-        self._x = x
+        self._cache = x if training else None
         return x @ self.w.T + self.b
 
     def backward(self, grad_out):
-        self._grads["w"] += grad_out.T @ self._x
+        self._grads["w"] += grad_out.T @ self._saved()
         self._grads["b"] += grad_out.sum(axis=0)
         return grad_out @ self.w
 
@@ -384,19 +384,19 @@ class STPAttention(Module):
         frame = np.add.reduce(x, axis=3) / N  # (B, C, T)
         z = np.concatenate([person, frame], axis=2)  # (B, C, M+T)
         pre = self.w1 @ z + self.b1[None, :, None]
-        if not getattr(self, "_freeze_kinks", False):
-            self._relu_mask = pre > 0.0
-        h = pre * self._relu_mask
+        frozen = training and getattr(self, "_freeze_kinks", False)
+        mask = self._saved()[-1] if frozen else pre > 0.0
+        h = pre * mask
         u = self.w2 @ h + self.b2
         person_score = _sigmoid(u[:, :M])  # (B, M)
         frame_score = _sigmoid(u[:, M:])  # (B, T)
         att = frame_score[:, :, None] * person_score[:, None, :]  # (B, T, M)
         out = x5 * att[:, None, :, :, None]
-        self._cache = (x5, z, pre, h, person_score, frame_score, att)
+        self._cache = (x5, z, h, person_score, frame_score, att, mask) if training else None
         return out.reshape(B, C, T, N)
 
     def backward(self, grad_out):
-        x5, z, pre, h, ps, fs, att = self._cache
+        x5, z, h, ps, fs, att, mask = self._saved()
         B, C, T, M, Np = x5.shape
         g5 = grad_out.reshape(B, C, T, M, Np)
         gx5 = g5 * att[:, None, :, :, None]
@@ -407,7 +407,7 @@ class STPAttention(Module):
         self._grads["w2"] += np.matmul(h, gu[:, :, None]).sum(axis=0)[:, 0]
         self._grads["b2"] += gu.sum(keepdims=True).reshape(1)
         gh = gu[:, None, :] * self.w2[None, :, None]
-        gh = gh * self._relu_mask
+        gh = gh * mask
         self._grads["w1"] += np.matmul(gh, z.transpose(0, 2, 1)).sum(axis=0)
         self._grads["b1"] += gh.sum(axis=(0, 2))
         gz = self.w1.T @ gh

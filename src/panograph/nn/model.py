@@ -130,19 +130,17 @@ class MPGCN(Module):
                     f"{self.config.num_nodes})"
                 )
         feats = [br.forward(s, training) for br, s in zip(self.branches, streams)]
-        x = np.concatenate(feats, axis=1)
-        self._branch_channels = feats[0].shape[1]
-        x = self.main.forward(x, training)
-        self._pool_shape = x.shape
+        x = self.main.forward(np.concatenate(feats, axis=1), training)
+        self._cache = x.shape if training else None
         pooled = x.mean(axis=(2, 3))
         return self.classifier.forward(pooled, training)
 
     def backward(self, grad_logits):
+        B, C, T, N = shape = self._saved()
         gp = self.classifier.backward(grad_logits)
-        B, C, T, N = self._pool_shape
-        gx = np.broadcast_to(gp[:, :, None, None], self._pool_shape) / (T * N)
+        gx = np.broadcast_to(gp[:, :, None, None], shape) / (T * N)
         gx = self.main.backward(np.ascontiguousarray(gx))
-        bc = self._branch_channels
+        bc = self.config.input_branch_channels[-1]
         return [
             br.backward(gx[:, i * bc : (i + 1) * bc]) for i, br in enumerate(self.branches)
         ]

@@ -92,6 +92,25 @@ class TestReassign:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'manifest.json'}: ")
 
+    @pytest.mark.parametrize("command,manifest,lacks", [
+        ("features", {"samples": []}, "lacks key 'layout'"),
+        ("reassign", {"samples": [{"id": "a"}], "num_joints": 5, "num_persons": 2},
+         "sample 0 lacks key 'jsonl'"),
+        ("reassign", {"samples": [], "num_joints": 5}, "lacks key 'num_persons'"),
+        ("features", {"samples": [{"id": "a"}, 3], "layout": "chain", "num_persons": 2, "num_joints": 3, "num_objects": 1}, "sample 1 lacks key 'id'"),
+        ("train", {"samples": [], "layout": "chain", "num_persons": 2, "num_joints": 3, "num_objects": 1, "num_frames": 4}, "lacks key 'num_classes'"),
+        ("eval", {"samples": [{"id": "a"}]}, "sample 0 lacks key 'label'"),
+    ], ids=["features-layout", "reassign-jsonl", "reassign-persons", "features-sample-type",
+            "train-classes", "eval-label"])
+    def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, lacks):
+        """Each command checks the manifest and sample keys it reads before reading them."""
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        extra = {"train": ["--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "run")],
+                 "eval": ["--ckpt", str(tmp_path / "none.pgt")]}.get(command, [])
+        assert cli.main([command, "--data", str(tmp_path)] + extra) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {tmp_path / 'manifest.json'}: {lacks}"]
+
     def test_non_finite_record_exits_1(self, tmp_path, capsys):
         data = str(tmp_path / "data")
         assert cli.main(["synth", "--classes", "2", "--per-class", "1", "--persons", "2",

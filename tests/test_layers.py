@@ -185,7 +185,7 @@ class TestTemporalConv:
         rng = np.random.default_rng(3)
         layer = TemporalConv(3, 4, rng, stride=stride, dilation=dilation)
         x = rng.standard_normal((3, 3, T, 5))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         expected = self.naive(x, layer.w, stride, dilation)
         assert out.shape == expected.shape
         assert np.allclose(out, expected, atol=1e-12)
@@ -204,6 +204,7 @@ class TestTemporalConv:
         for k, tap in enumerate(taps):
             gxp[:, :, tap] += gxw[:, :, k]
         assert np.array_equal(layer.backward(g), gxp[:, :, dilation : dilation + T])
+        assert np.array_equal(layer.forward(x), out) and layer._cache is None  # eval: same gemm
 
     def test_gradients_match_einsum(self):
         rng = np.random.default_rng(32)
@@ -272,22 +273,23 @@ class TestMaxPool:
         B, C, N = 3, 4, 5
         x = rng.integers(-2, 3, (B, C, T, N)).astype(float)  # many tied neighbours
         layer = MaxPoolT(stride=stride)
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         windows = self.gather(x, stride)
         argmax = windows.argmax(axis=3)
         assert np.array_equal(out, np.take_along_axis(windows, argmax[:, :, :, None], axis=3)[:, :, :, 0])
-        assert np.array_equal(layer._argmax, argmax)
+        assert np.array_equal(layer._cache[0], argmax)
         g = rng.standard_normal(out.shape)
         gxp = np.zeros((B, C, T + 2, N))
         t_i = stride * np.arange(out.shape[2])[None, None, :, None] + argmax
         np.add.at(gxp, (np.arange(B)[:, None, None, None], np.arange(C)[None, :, None, None],
                         t_i, np.arange(N)[None, None, None, :]), g)
         assert np.array_equal(layer.backward(g), gxp[:, :, 1 : T + 1])
+        assert np.array_equal(MaxPoolT(stride=stride).forward(x), out)  # eval: no argmax
         layer._freeze_kinks = True
         x2 = x + rng.standard_normal(x.shape)
         frozen = np.take_along_axis(self.gather(x2, stride), argmax[:, :, :, None], axis=3)[:, :, :, 0]
-        assert np.array_equal(layer.forward(x2), frozen)
-        assert np.array_equal(layer._argmax, argmax)
+        assert np.array_equal(layer.forward(x2, training=True), frozen)
+        assert np.array_equal(layer._cache[0], argmax)
 
 
 class TestBatchNorm:
@@ -329,7 +331,11 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("training", [True, False])
     def test_backward_matches_textbook(self, training):
-        """Ioffe & Szegedy (arXiv 1502.03167), Algorithm 1 and its chain rule."""
+        """Ioffe & Szegedy (arXiv 1502.03167), Algorithm 1 and its chain rule.
+
+        Eval has no backward: its forward overwrites x with the running-statistics
+        affine and keeps nothing, so a backward after it raises ContractError.
+        """
         rng = np.random.default_rng(17)
         bn = BatchNorm(4)
         bn.gamma[:] = rng.standard_normal(4)
@@ -338,28 +344,32 @@ class TestBatchNorm:
         bn.running_var[:] = rng.uniform(0.5, 2.0, 4)
         x = rng.standard_normal((3, 4, 5, 6)) * 2.0 + 1.5
         x0 = x.copy()
-        bn.forward(x, training=training)
-        bn.forward(x, training=training)
-        assert np.array_equal(x, x0)
         g = rng.standard_normal(x.shape)
+        axes, shape = (0, 2, 3), (1, 4, 1, 1)
+        if not training:
+            y = bn.forward(x, training=False)
+            assert y is x
+            mu, var = bn.running_mean.reshape(shape), bn.running_var.reshape(shape)
+            inv = 1.0 / np.sqrt(var + bn.eps)
+            assert_rel_close(y, (x0 - mu) * inv * bn.gamma.reshape(shape) + bn.beta.reshape(shape))
+            with pytest.raises(ContractError, match="BatchNorm.backward needs a training forward"):
+                bn.backward(g)
+            return
+        bn.forward(x, training=True)
+        bn.forward(x, training=True)
+        assert np.array_equal(x, x0)
         bn.zero_grad()
         gx = bn.backward(g)
-        axes, shape = (0, 2, 3), (1, 4, 1, 1)
-        if training:
-            m = x.size // 4
-            mu = x.mean(axis=axes).reshape(shape)
-            var = x.var(axis=axes).reshape(shape)
-        else:
-            mu, var = bn.running_mean.reshape(shape), bn.running_var.reshape(shape)
+        m = x.size // 4
+        mu = x.mean(axis=axes).reshape(shape)
+        var = x.var(axis=axes).reshape(shape)
         inv = 1.0 / np.sqrt(var + bn.eps)
         xhat = (x - mu) * inv
         dxhat = g * bn.gamma.reshape(shape)
-        expected = dxhat * inv
-        if training:
-            dvar = (dxhat * (x - mu)).sum(axis=axes, keepdims=True) * -0.5 * inv**3
-            dmu = -(dxhat * inv).sum(axis=axes, keepdims=True) \
-                - dvar * 2.0 * (x - mu).sum(axis=axes, keepdims=True) / m
-            expected = expected + dvar * 2.0 * (x - mu) / m + dmu / m
+        dvar = (dxhat * (x - mu)).sum(axis=axes, keepdims=True) * -0.5 * inv**3
+        dmu = -(dxhat * inv).sum(axis=axes, keepdims=True) \
+            - dvar * 2.0 * (x - mu).sum(axis=axes, keepdims=True) / m
+        expected = dxhat * inv + dvar * 2.0 * (x - mu) / m + dmu / m
         assert_rel_close(gx, expected)
         assert_rel_close(bn._grads["gamma"], (g * xhat).sum(axis=axes))
         assert_rel_close(bn._grads["beta"], g.sum(axis=axes))
@@ -406,10 +416,10 @@ class TestMultiScaleTCN:
         dw = [conv._grads["w"].copy() for conv in bottlenecks]
         tcn.zero_grad()
         bc = tcn.branch_channels
-        plain.forward(x)
+        plain.forward(x, training=True)
         expected = plain.backward(g[:, 3 * bc :])
         for i, b in enumerate(branches):
-            b.forward(b.bottleneck.forward(x), training=True)
+            b.forward(b.bottleneck.forward(x, training=True), training=True)
             expected += b.bottleneck.backward(b.backward(g[:, i * bc : (i + 1) * bc]))
         assert_rel_close(gx, expected)
         for conv, d in zip(bottlenecks, dw):
@@ -553,9 +563,18 @@ class TestReLU:
     def test_forward_backward(self):
         relu = ReLU()
         x = np.array([[-1.0, 2.0], [0.0, 3.0]])
-        assert np.array_equal(relu.forward(x), [[0.0, 2.0], [0.0, 3.0]])
+        assert np.array_equal(relu.forward(x, training=True), [[0.0, 2.0], [0.0, 3.0]])
         g = relu.backward(np.ones_like(x))
         assert np.array_equal(g, [[0.0, 1.0], [0.0, 1.0]])
+
+    def test_eval_rectifies_in_place(self):
+        relu = ReLU()
+        x = np.array([[-1.0, 2.0], [0.0, 3.0]])
+        relu.forward(x.copy(), training=True)
+        assert relu.forward(x) is x
+        assert np.array_equal(x, [[0.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(ContractError, match="ReLU.backward needs a training forward"):
+            relu.backward(np.ones_like(x))
 
 
 class TestConv1x1:
@@ -573,7 +592,7 @@ class TestConv1x1:
         rng = np.random.default_rng(18)
         conv = Conv1x1(2, 2, rng, stride=2)
         x = rng.standard_normal((1, 2, 5, 3))
-        y = conv.forward(x)
+        y = conv.forward(x, training=True)
         gx = conv.backward(np.ones_like(y))
         assert gx.shape == x.shape
         assert np.all(gx[:, :, 1::2, :] == 0)  # skipped frames get zero gradient

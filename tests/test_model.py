@@ -145,6 +145,57 @@ class TestBackward:
             assert np.all(g == 0), name
 
 
+BACKWARD_STATE = ("_x", "_z", "_hub_x", "_cache", "_mask", "_argmax", "_relu_mask")
+
+
+def all_modules(module):
+    yield module
+    for _, child in module._children:
+        yield from all_modules(child)
+
+
+class TestForwardOnlyEval:
+    def test_eval_keeps_no_backward_state(self):
+        model, cfg, _ = tiny_model()
+        streams = random_streams(np.random.default_rng(20), cfg, 2)
+        model.forward(streams, training=True)
+        assert sum(m._cache is not None for m in all_modules(model)) > 100
+        model.forward(streams)
+        for m in all_modules(model):
+            for attr in BACKWARD_STATE:
+                assert getattr(m, attr, None) is None, (type(m).__name__, attr)
+        with pytest.raises(ContractError, match="MPGCN.backward needs a training forward"):
+            model.backward(np.ones((2, cfg.num_classes)))
+
+    def test_eval_between_training_steps_changes_no_gradient(self):
+        """train -> eval -> train -> backward gives the gradients of train -> backward."""
+        grads = []
+        for with_eval in (False, True):
+            model, cfg, _ = tiny_model(seed=3)
+            rng = np.random.default_rng(21)
+            streams, labels = random_streams(rng, cfg, 2), np.array([1, 4])
+            model.forward(streams, training=True)
+            if with_eval:
+                model.forward(streams)
+            model.zero_grad()
+            _, g = cross_entropy(model.forward(streams, training=True), labels)
+            gx = model.backward(g)
+            grads.append((gx, dict(model.named_grads())))
+        (gx0, g0), (gx1, g1) = grads
+        assert all(np.array_equal(a, b) for a, b in zip(gx0, gx1))
+        assert all(np.array_equal(g0[k], g1[k]) for k in g0)
+
+    def test_eval_leaves_streams_unchanged(self):
+        """Eval BN and ReLU work in place, but never on the caller's arrays."""
+        model, cfg, _ = tiny_model()
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((2, cfg.num_frames, cfg.num_nodes, 2 * cfg.in_channels))
+        streams = [x.transpose(0, 3, 1, 2)] + random_streams(rng, cfg, 2)[1:]
+        saved = [s.copy() for s in streams]
+        model.forward(streams)
+        assert all(np.array_equal(s, s0) for s, s0 in zip(streams, saved))
+
+
 class TestPermutation:
     def test_person_permutation_invariance(self):
         """Permuting person blocks of input + adjacency leaves logits alone."""
