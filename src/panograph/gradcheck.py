@@ -40,7 +40,7 @@ def freeze_kinks(module: Module, frozen: bool = True) -> None:
     pre-activation on the other side of a kink measures a different branch
     and reports a spurious mismatch.  Freezing the branch decisions makes
     the probed function smooth, so FD and the analytic gradient agree to
-    truncation error.  Callers must run one forward pass before freezing.
+    truncation error.  Callers must run one training forward before freezing.
     """
     if isinstance(module, (ReLU, MaxPoolT, STPAttention)):
         module._freeze_kinks = frozen
