@@ -86,7 +86,7 @@ def cmd_reassign(args) -> int:
     os.makedirs(tensor_dir, exist_ok=True)
     reports = {}
     for entry in manifest["samples"]:
-        with open(os.path.join(args.data, entry["jsonl"])) as fh:
+        with data_io.open_input(os.path.join(args.data, entry["jsonl"])) as fh:
             frames = parse_jsonl(fh, manifest["num_joints"])
         tensor, report = assemble_sequence(
             frames, manifest["num_persons"], manifest["num_joints"], score_mode=args.score_mode
@@ -157,7 +157,7 @@ def _load_dataset(data_dir, manifest) -> train.Dataset:
 def cmd_train(args) -> int:
     keys = GRAPH_KEYS + ("num_frames", "num_classes")
     manifest = data_io.load_manifest(args.data, keys, ("id", "label"))
-    with open(args.config) as fh:
+    with data_io.open_input(args.config) as fh:
         raw = data_io.parse_flat_config(fh.read(), TRAIN_CONFIG_KEYS)
     divisor = raw.pop("channel_divisor", 1)
     inter_variant = raw.pop("inter_variant", "pairwise")

@@ -57,8 +57,16 @@ def write_atomic(path: str, write, mode: str) -> None:
         raise
 
 
+def open_input(path: str, mode: str = "r"):
+    """``open(path, mode)``; InputError naming the path if it cannot be opened."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
 def read_tensor_container(path: str) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
@@ -293,7 +301,8 @@ def parse_flat_config(text: str, known_keys: dict[str, type]) -> dict:
 
 
 def load_manifest(data_dir: str, keys=(), sample_keys=()) -> dict:
-    """The manifest; FormatError if it lacks 'samples', a ``keys`` key or a ``sample_keys`` key."""
+    """The manifest; FormatError if it lacks 'samples', a ``keys`` key or a ``sample_keys`` key,
+    or if such a key has the wrong type: ``num_*`` and ``label`` are ints, the rest strings."""
     path = os.path.join(data_dir, "manifest.json")
     if not os.path.exists(path):
         raise InputError(f"no manifest.json in {data_dir}")
@@ -305,9 +314,14 @@ def load_manifest(data_dir: str, keys=(), sample_keys=()) -> dict:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise FormatError(f"{path}: expected an object with a 'samples' list")
     for i, entry in enumerate([manifest] + manifest["samples"]):
+        where = f"{path}: sample {i - 1}" if i else f"{path}:"
         for key in sample_keys if i else keys:
             if not isinstance(entry, dict) or key not in entry:
-                raise FormatError(f"{path}: {f'sample {i - 1} ' if i else ''}lacks key {key!r}")
+                raise FormatError(f"{where} lacks key {key!r}")
+            want = int if key.startswith("num_") or key == "label" else str
+            if not isinstance(entry[key], want) or isinstance(entry[key], bool):
+                raise FormatError(f"{where} key {key!r} is {type(entry[key]).__name__}, "
+                                  f"expected {want.__name__}")
     return manifest
 
 

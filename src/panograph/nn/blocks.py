@@ -110,12 +110,18 @@ class MultiScaleTCN(Module):
         return (self._stacked_w().T @ g2).reshape(B, C, T, N)
 
 
+# Graphs of at most this many nodes run the SGC as one dense block: there the
+# per-person blocks and hub gather/scatter cost more than the zeros they skip.
+DENSE_SGC_MAX_NODES = 32
+
+
 class BasicBlock(Module):
     """SGC -> multi-scale TCN -> person attention, with residual links.
 
     y1 = relu(bn(SGC(x)) + res(x));  y2 = relu(bn(TCN(y1)) + res(y1));
     y3 = y2 + y2 * att. Residual projections are 1x1 (strided for the TCN
-    stage) whenever channels or frame count change.
+    stage) whenever channels or frame count change. The SGC is dense up to
+    DENSE_SGC_MAX_NODES nodes and per-person above.
     """
 
     def __init__(
@@ -123,8 +129,10 @@ class BasicBlock(Module):
     ):
         super().__init__()
         self.stride = stride
+        n = adjacency.shape[1]
+        block = n if n <= DENSE_SGC_MAX_NODES else nodes_per_person
         self.sgc = self.add(
-            "sgc", SpatialGraphConv(in_channels, out_channels, adjacency, nodes_per_person, rng)
+            "sgc", SpatialGraphConv(in_channels, out_channels, adjacency, block, rng)
         )
         self.bn1 = self.add("bn1", BatchNorm(out_channels))
         self.relu1 = self.add("relu1", ReLU())

@@ -231,11 +231,14 @@ class SpatialGraphConv(Module):
     ``adjacency`` is the (3, N, N) stack of normalized partitions; E_k is a
     learnable elementwise mask initialized to ones. Node i belongs to person
     i // nodes_per_person, and each partition's support splits in two:
-    the within-person diagonal blocks, aggregated by one batched matmul into
-    a stacked buffer that a single gemm mixes over the stacked W_k, and the
-    cross-person entries, aggregated and mixed on their hub nodes only. No
-    product visits the zeros between persons; with nodes_per_person = N
-    there is one block and no hub, which is the dense product.
+    the within-person diagonal blocks, aggregated into a stacked buffer that
+    a single gemm mixes over the stacked W_k, and the cross-person entries,
+    aggregated and mixed on their hub nodes only. Blocks with entries off
+    their diagonal aggregate by one batched matmul; diagonal ones (the self
+    partition) are a node scale s = diag(E_k) * diag(A_k), so their slot is
+    x * s and E_k's gradient stays on the diagonal. No product visits the
+    zeros between persons; with nodes_per_person = N there is one block and
+    no hub, which is the dense product.
     """
 
     def __init__(self, in_channels, out_channels, adjacency, nodes_per_person, rng):
@@ -253,12 +256,16 @@ class SpatialGraphConv(Module):
         first = P * np.arange(n // P)[:, None, None]
         self._block_idx = (first + np.arange(P)[:, None]) * n + first + np.arange(P)
         person = np.arange(n) // P
-        self._blocks = []  # (k, A_k on the blocks) for partitions with within-person entries
+        # (k, A_k on the blocks, or diag(A_k) when the blocks are diagonal) for partitions
+        # with within-person entries
+        self._blocks = []
         self._hubs = []  # (k, hub nodes, flat hub x hub indices, cross-person A_k there)
         for k in range(K):
             blocks = adjacency[k].take(self._block_idx)
-            if blocks.any():
+            if (blocks * (1.0 - np.eye(P))).any():
                 self._blocks.append((k, blocks))
+            elif blocks.any():
+                self._blocks.append((k, adjacency[k].diagonal()))
             cross = np.where(person[:, None] == person, 0.0, adjacency[k])
             hubs = np.flatnonzero(cross.any(axis=0) | cross.any(axis=1))
             if hubs.size:
@@ -268,11 +275,11 @@ class SpatialGraphConv(Module):
     def _stacked_w(self):
         return np.concatenate([self._params[f"W{k}"] for k, _ in self._blocks])
 
-    def _person_view(self, a):
-        """(B, C, T, N) -> (B, M, C*T, P) view: one (C*T, P) matrix per person."""
+    def _by_person(self, a):
+        """(B, C, T, N) -> (B, C*T, M, P) view; transposed (0, 2, 1, 3), a matrix per person."""
         B, C, T, _ = a.shape
         M, P, _ = self._block_idx.shape
-        return a.reshape(B, C * T, M, P).transpose(0, 2, 1, 3)
+        return a.reshape(B, C * T, M, P)
 
     def forward(self, x, training=False):
         if x.shape[3] != self.adjacency.shape[1]:
@@ -281,11 +288,16 @@ class SpatialGraphConv(Module):
             )
         B, C, T, N = x.shape
         M, P, _ = self._block_idx.shape
-        xp = self._person_view(x)
+        x4 = self._by_person(x)
         z = np.empty((B, len(self._blocks), C * T, M, P))
-        for i, (k, blocks) in enumerate(self._blocks):
-            mk = self._params[f"E{k}"].take(self._block_idx) * blocks
-            np.matmul(xp, mk.transpose(0, 2, 1), out=z[:, i].transpose(0, 2, 1, 3))
+        for i, (k, a) in enumerate(self._blocks):
+            e = self._params[f"E{k}"]
+            if a.ndim == 1:  # node scale
+                np.multiply(x4, (e.diagonal() * a).reshape(M, P), out=z[:, i])
+            else:
+                mk = e.take(self._block_idx) * a
+                np.matmul(x4.transpose(0, 2, 1, 3), mk.transpose(0, 2, 1),
+                          out=z[:, i].transpose(0, 2, 1, 3))
         out = (self._stacked_w().T @ z.reshape(B, -1, T * N)).reshape(B, -1, T, N)
         hub_x = []
         for k, hubs, on_hubs, cross in self._hubs:
@@ -302,19 +314,26 @@ class SpatialGraphConv(Module):
     def backward(self, grad_out):
         x, z, hub_x = self._saved()
         B, C, T, N = x.shape
+        M, P, _ = self._block_idx.shape
         g2 = grad_out.reshape(B, -1, T * N)
         L = z.shape[1]
         dw = np.matmul(z.reshape(B, L * C, T * N), g2.transpose(0, 2, 1)).sum(axis=0)
         gz = (self._stacked_w() @ g2).reshape(z.shape)
-        xp = self._person_view(x)
+        x4 = self._by_person(x)
         gx, step = np.empty(x.shape), np.empty(x.shape)
-        for i, (k, blocks) in enumerate(self._blocks):
+        for i, (k, a) in enumerate(self._blocks):
             self._grads[f"W{k}"] += dw[i * C : (i + 1) * C]
-            gzp = gz[:, i].transpose(0, 2, 1, 3)
-            dm = np.matmul(gzp.transpose(0, 1, 3, 2), xp).sum(axis=0)  # (M, P, P)
-            self._grads[f"E{k}"].reshape(-1)[self._block_idx] += dm * blocks
-            mk = self._params[f"E{k}"].take(self._block_idx) * blocks
-            np.matmul(gzp, mk, out=self._person_view(step if i else gx))
+            e, de = self._params[f"E{k}"], self._grads[f"E{k}"].reshape(-1)
+            gxi = self._by_person(step if i else gx)
+            if a.ndim == 1:  # node scale: E_k's gradient is on the diagonal only
+                np.multiply(gz[:, i], (e.diagonal() * a).reshape(M, P), out=gxi)
+                gzx = np.multiply(gz[:, i], x4, out=gz[:, i])  # the slot is spent: no temporary
+                de[:: N + 1] += np.add.reduce(gzx, axis=(0, 1)).reshape(N) * a
+            else:
+                gzp = gz[:, i].transpose(0, 2, 1, 3)
+                dm = np.matmul(gzp.transpose(0, 1, 3, 2), x4.transpose(0, 2, 1, 3)).sum(axis=0)
+                de[self._block_idx] += dm * a
+                np.matmul(gzp, e.take(self._block_idx) * a, out=gxi.transpose(0, 2, 1, 3))
             if i:
                 gx += step
         for (k, hubs, on_hubs, cross), (xh, zc) in zip(self._hubs, hub_x):
@@ -344,15 +363,6 @@ class Linear(Module):
         return grad_out @ self.w
 
 
-def _sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
 class STPAttention(Module):
     """Spatial-temporal person attention.
 
@@ -379,21 +389,25 @@ class STPAttention(Module):
         M, Np = self.M, self.Np
         if N != M * Np:
             raise ContractError(f"node dim {N} does not factor as {M}x{Np}")
-        x5 = x.reshape(B, C, T, M, Np)
-        person = np.add.reduce(x5, axis=(2, 4)) / (T * Np)  # (B, C, M)
-        frame = np.add.reduce(x, axis=3) / N  # (B, C, T)
+        # both sums over x are products with ones: a BLAS pass beats np.add.reduce over
+        # the short frame and node axes; persons then sum the small frame sum
+        nodes = np.ones(T) @ x.reshape(B * C, T, N)  # (B*C, N) frame sum
+        person = np.add.reduce(nodes.reshape(B, C, M, Np), axis=3) / (T * Np)  # (B, C, M)
+        frame = (x.reshape(-1, N) @ np.ones(N)).reshape(B, C, T) / N
         z = np.concatenate([person, frame], axis=2)  # (B, C, M+T)
         pre = self.w1 @ z + self.b1[None, :, None]
         frozen = training and getattr(self, "_freeze_kinks", False)
         mask = self._saved()[-1] if frozen else pre > 0.0
         h = pre * mask
         u = self.w2 @ h + self.b2
-        person_score = _sigmoid(u[:, :M])  # (B, M)
-        frame_score = _sigmoid(u[:, M:])  # (B, T)
+        with np.errstate(under="ignore"):  # a score that underflows is 0
+            score = np.exp(-np.logaddexp(0.0, -u))  # the sigmoid, finite at any u
+        person_score, frame_score = score[:, :M], score[:, M:]  # (B, M), (B, T)
         att = frame_score[:, :, None] * person_score[:, None, :]  # (B, T, M)
-        out = x5 * att[:, None, :, :, None]
-        self._cache = (x5, z, h, person_score, frame_score, att, mask) if training else None
-        return out.reshape(B, C, T, N)
+        out = x * np.repeat(att, Np, axis=2)[:, None]  # the (B, T, N) scale, over channels
+        self._cache = (x.reshape(B, C, T, M, Np), z, h, person_score, frame_score, att, mask
+                       ) if training else None
+        return out
 
     def backward(self, grad_out):
         x5, z, h, ps, fs, att, mask = self._saved()

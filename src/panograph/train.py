@@ -333,10 +333,7 @@ def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPG
         except ConfigError as exc:
             raise FormatError(f"{path}.json: graph: {exc}") from exc
         adjacency = graph.partition_and_normalize(topo).A_hat
-    try:
-        tensors = data_io.read_tensor_container(path)
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read checkpoint ({exc.strerror})") from exc
+    tensors = data_io.read_tensor_container(path)
     model = MPGCN(cfg, adjacency, np.random.default_rng(0))
     params = {k[len("param."):]: v for k, v in tensors.items() if k.startswith("param.")}
     buffers = {k[len("buffer."):]: v for k, v in tensors.items() if k.startswith("buffer.")}

@@ -92,24 +92,56 @@ class TestReassign:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'manifest.json'}: ")
 
-    @pytest.mark.parametrize("command,manifest,lacks", [
-        ("features", {"samples": []}, "lacks key 'layout'"),
-        ("reassign", {"samples": [{"id": "a"}], "num_joints": 5, "num_persons": 2},
-         "sample 0 lacks key 'jsonl'"),
-        ("reassign", {"samples": [], "num_joints": 5}, "lacks key 'num_persons'"),
-        ("features", {"samples": [{"id": "a"}, 3], "layout": "chain", "num_persons": 2, "num_joints": 3, "num_objects": 1}, "sample 1 lacks key 'id'"),
-        ("train", {"samples": [], "layout": "chain", "num_persons": 2, "num_joints": 3, "num_objects": 1, "num_frames": 4}, "lacks key 'num_classes'"),
-        ("eval", {"samples": [{"id": "a"}]}, "sample 0 lacks key 'label'"),
+    GRAPH = {"layout": "chain", "num_persons": 2, "num_joints": 3, "num_objects": 1}
+    TRAIN = {**GRAPH, "num_frames": 4, "num_classes": 2}
+    ROSTER = {"num_joints": 2, "num_persons": 2}
+    FILES = {"id": "a", "jsonl": "samples/a.jsonl", "truth": "truth/a.pgt"}
+    DETECTION = {"t": 0, "id": 0, "conf": 1.0, "bbox": [0, 0, 1, 1], "kpts": [[0, 0, 1]] * 2}
+    NO_FILE = "cannot read (No such file or directory)"
+
+    @pytest.mark.parametrize("command,manifest,files,error", [
+        ("features", {"samples": []}, {}, "manifest.json: lacks key 'layout'"),
+        ("reassign", {"samples": [{"id": "a"}], "num_joints": 5, "num_persons": 2}, {},
+         "manifest.json: sample 0 lacks key 'jsonl'"),
+        ("reassign", {"samples": [], "num_joints": 5}, {}, "manifest.json: lacks key 'num_persons'"),
+        ("features", {"samples": [{"id": "a"}, 3], **GRAPH}, {},
+         "manifest.json: sample 1 lacks key 'id'"),
+        ("train", {"samples": [], **GRAPH, "num_frames": 4}, {},
+         "manifest.json: lacks key 'num_classes'"),
+        ("eval", {"samples": [{"id": "a"}]}, {}, "manifest.json: sample 0 lacks key 'label'"),
+        ("features", {"samples": [], **GRAPH, "num_persons": "2"}, {},
+         "manifest.json: key 'num_persons' is str, expected int"),
+        ("train", {"samples": [], **TRAIN, "num_classes": True}, {},
+         "manifest.json: key 'num_classes' is bool, expected int"),
+        ("eval", {"samples": [{"id": "a", "label": 1.0}]}, {},
+         "manifest.json: sample 0 key 'label' is float, expected int"),
+        ("reassign", {"samples": [{**FILES, "id": 7}], **ROSTER}, {},
+         "manifest.json: sample 0 key 'id' is int, expected str"),
+        ("reassign", {"samples": [FILES], **ROSTER}, {}, f"samples/a.jsonl: {NO_FILE}"),
+        ("reassign", {"samples": [FILES], **ROSTER}, {"samples/a.jsonl": json.dumps(DETECTION)},
+         f"truth/a.pgt: {NO_FILE}"),
+        ("features", {"samples": [{"id": "a"}], **GRAPH}, {}, f"tensors/a.pgt: {NO_FILE}"),
+        ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN}, {}, f"train.cfg: {NO_FILE}"),
+        ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN}, {"train.cfg": ""},
+         f"features/a.pgt: {NO_FILE}"),
+        ("eval", {"samples": [{"id": "a", "label": 0}]}, {}, f"features/a.pgt: {NO_FILE}"),
     ], ids=["features-layout", "reassign-jsonl", "reassign-persons", "features-sample-type",
-            "train-classes", "eval-label"])
-    def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, lacks):
-        """Each command checks the manifest and sample keys it reads before reading them."""
+            "train-classes", "eval-label", "features-persons-str", "train-classes-bool",
+            "eval-label-float", "reassign-id-int", "reassign-jsonl-file", "reassign-truth-file",
+            "features-tensor-file", "train-config-file", "train-feature-file",
+            "eval-feature-file"])
+    def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, files, error):
+        """Each command checks the manifest keys it reads and their types before reading
+        them, and a missing file it reads names its path: exit 1 and one error line."""
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        extra = {"train": ["--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "run")],
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        extra = {"train": ["--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run")],
                  "eval": ["--ckpt", str(tmp_path / "none.pgt")]}.get(command, [])
         assert cli.main([command, "--data", str(tmp_path)] + extra) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {tmp_path / 'manifest.json'}: {lacks}"]
+        assert err == [f"error: {tmp_path}/{error}"]
 
     def test_non_finite_record_exits_1(self, tmp_path, capsys):
         data = str(tmp_path / "data")

@@ -222,3 +222,13 @@ class TestManifest:
     def test_missing(self, tmp_path):
         with pytest.raises(InputError):
             data_io.load_manifest(str(tmp_path))
+
+    @pytest.mark.parametrize("key,value,types", [
+        ("num_persons", "2", "str, expected int"), ("num_frames", 4.0, "float, expected int"),
+        ("num_joints", False, "bool, expected int"), ("layout", 17, "int, expected str"),
+    ])
+    def test_key_types(self, tmp_path, key, value, types):
+        data_io.save_manifest(str(tmp_path), {"samples": [], key: value})
+        with pytest.raises(FormatError, match=re.escape(f"key {key!r} is {types}")):
+            data_io.load_manifest(str(tmp_path), (key,))
+        data_io.load_manifest(str(tmp_path))  # only the keys asked for are checked

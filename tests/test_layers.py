@@ -1,4 +1,6 @@
 """Layer-level tests: independent numeric oracles for each nn primitive."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,14 @@ class TestSpatialGraphConv:
         assert A.shape[1] == 36
         self.check_against_einsum(A, 18, rng)
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "per-person"])
+    def test_scaled_self_partition_matches_einsum(self, dense):
+        """A self partition with a diagonal other than 1, so the node scale must apply it."""
+        rng = np.random.default_rng(32)
+        A = graph.partition_and_normalize(graph.build_topology("coco17", 2, 17, 1)).A_hat
+        A[0] = np.diag(rng.uniform(0.5, 1.5, A.shape[1]))
+        self.check_against_einsum(A, 36 if dense else 18, rng)
+
     @pytest.mark.parametrize("nodes_per_person", [4, 12])
     def test_mixed_partitions_match_einsum(self, nodes_per_person):
         """Partitions 1 and 2 each have entries within and between persons.
@@ -143,6 +153,62 @@ class TestSpatialGraphConv:
             hub = (A[k] * ~within).any(axis=0) | (A[k] * ~within).any(axis=1)
             assert (A[k] * within)[np.ix_(hub, hub)].any()
         self.check_against_einsum(A, nodes_per_person, rng)
+
+    @staticmethod
+    def desk_or_coco(layout):
+        """The desk chain graph (M=3, V=5, n=1) or a 2-person coco17 graph with one object."""
+        persons, joints = (3, 5) if layout == "chain" else (2, 17)
+        topo = graph.build_topology(layout, persons, joints, 1)
+        return graph.partition_and_normalize(topo).A_hat, joints + 1
+
+    @pytest.mark.parametrize("layout", ["chain", "coco17"])
+    def test_dense_and_per_person_agree(self, layout):
+        """The same weights built as one dense block and per person, forward and backward."""
+        A, P = self.desk_or_coco(layout)
+        N = A.shape[1]
+        rng = np.random.default_rng(34)
+        dense, blocks = (SpatialGraphConv(4, 6, A, p, rng) for p in (N, P))
+        assert not dense._hubs and blocks._hubs
+        x = rng.standard_normal((3, 4, 5, N))
+        out, g, gx, grads = forward_backward(dense, x, rng)
+        blocks.load_state(dict(dense.named_parameters()), {})
+        blocks.zero_grad()
+        assert_rel_close(blocks.forward(x, training=True), out)
+        assert_rel_close(blocks.backward(g), gx)
+        for name, grad in blocks.named_grads():
+            assert_rel_close(grad, grads[name])
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "per-person"])
+    def test_node_scale_is_the_block_product_bit_for_bit(self, dense):
+        """The self partition's slot x * s equals the matmul with its diagonal blocks."""
+        A, P = self.desk_or_coco("chain")
+        B, C, T, N = 3, 4, 5, A.shape[1]
+        rng = np.random.default_rng(35)
+        layer = SpatialGraphConv(C, 6, A, N if dense else P, rng)
+        for k in range(3):
+            layer._params[f"E{k}"][:] = rng.uniform(0.5, 1.5, (N, N))
+        x = rng.standard_normal((B, C, T, N))
+        out = layer.forward(x, training=True)
+        assert [k for k, a in layer._blocks if a.ndim == 1] == [0]
+        M = N // layer._block_idx.shape[1]
+        xp = x.reshape(B, C * T, M, -1).transpose(0, 2, 1, 3)
+        z = np.stack([
+            np.matmul(xp, (layer._params[f"E{k}"] * A[k]).take(layer._block_idx).transpose(0, 2, 1))
+            .transpose(0, 2, 1, 3) for k, _ in layer._blocks], axis=1)
+        assert np.array_equal(layer._cache[1], z)
+        if dense:  # no hubs: the output is the one gemm over the stacked slots
+            mixed = layer._stacked_w().T @ z.reshape(B, -1, T * N)
+            assert np.array_equal(out, mixed.reshape(out.shape))
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "per-person"])
+    def test_self_partition_gradient_on_the_diagonal(self, dense):
+        A, P = self.desk_or_coco("chain")
+        N = A.shape[1]
+        rng = np.random.default_rng(36)
+        layer = SpatialGraphConv(4, 6, A, N if dense else P, rng)
+        *_, grads = forward_backward(layer, rng.standard_normal((3, 4, 5, N)), rng)
+        assert np.all(grads["E0"][~np.eye(N, dtype=bool)] == 0.0)
+        assert np.all(grads["E0"].diagonal() != 0.0)
 
     def test_persons_must_divide_nodes(self):
         with pytest.raises(ConfigError, match="36 nodes .* persons of 5 nodes"):
@@ -485,6 +551,21 @@ class TestAttention:
         out = att.forward(x)
         assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
 
+    @pytest.mark.parametrize("u", [800.0, -800.0])
+    def test_scores_at_large_logits(self, u):
+        """|u| = 800 overflows exp(|u|) and underflows exp(-|u|): no warning, scores in [0, 1]."""
+        rng = np.random.default_rng(14)
+        att = STPAttention(4, 2, 2, rng)
+        att.w2[:] = 0.0
+        att.b2[:] = u
+        x = rng.standard_normal((2, 4, 3, 4))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = att.forward(x, training=True)
+        scores = np.concatenate([att._cache[3], att._cache[4]], axis=1)
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
+        assert np.array_equal(out, x if u > 0 else np.zeros_like(x))
+
     def test_saturated_scores_identity(self):
         rng = np.random.default_rng(13)
         att = STPAttention(4, 2, 2, rng)
@@ -511,6 +592,14 @@ class TestBasicBlock:
         block = BasicBlock(4, 8, A, 2, 3, rng, stride=2)
         out = block.forward(np.zeros((2, 4, 6, 6)), training=True)
         assert out.shape == (2, 8, 3, 6)
+
+    @pytest.mark.parametrize("persons,dense", [(5, True), (6, False)])
+    def test_sgc_dense_up_to_32_nodes(self, persons, dense):
+        """Chain persons of 5 joints and an object: 30 nodes run dense, 36 per person."""
+        A = graph.partition_and_normalize(graph.build_topology("chain", persons, 5, 1)).A_hat
+        block = BasicBlock(4, 4, A, persons, 6, np.random.default_rng(17))
+        assert block.sgc._block_idx.shape[0] == (1 if dense else persons)
+        assert bool(block.sgc._hubs) != dense
 
     def test_residual_paths_exist_only_when_needed(self):
         rng = np.random.default_rng(15)
