@@ -160,6 +160,8 @@ def cmd_train(args) -> int:
     with data_io.open_input(args.config) as fh:
         raw = data_io.parse_flat_config(fh.read(), TRAIN_CONFIG_KEYS)
     divisor = raw.pop("channel_divisor", 1)
+    if divisor < 1:
+        raise ConfigError(f"channel_divisor must be >= 1, got {divisor}")
     inter_variant = raw.pop("inter_variant", "pairwise")
     train_cfg = train.TrainConfig(**raw)
     topo = _topology_from_manifest(manifest, inter_variant)

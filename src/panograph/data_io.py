@@ -1,8 +1,9 @@
 """File formats and synthetic data generation.
 
 Binary tensor container ("PGT1"): little-endian, magic + entry count, then
-per entry a length-prefixed UTF-8 name, dtype tag (f32/f64), rank, dims and
-raw payload. Used for skeleton tensors, feature caches and checkpoints.
+per entry a length-prefixed UTF-8 name, dtype tag (f32/f64/u8), rank, dims
+and raw payload. Used for skeleton tensors, feature caches and checkpoints
+(whose config is a u8 entry of JSON text).
 """
 from __future__ import annotations
 
@@ -18,12 +19,12 @@ from .errors import ConfigError, FormatError, InputError
 from .reassign import reassign_frame, Detection, PoseFrame, TrackState
 
 MAGIC = b"PGT1"
-_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_DTYPE_TAGS = {np.dtype("float32"): 0, np.dtype("float64"): 1}
+_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
+_DTYPE_TAGS = {np.dtype("float32"): 0, np.dtype("float64"): 1, np.dtype("uint8"): 2}
 
 
 def write_tensor_container(path: str, tensors: dict[str, np.ndarray]) -> None:
-    """Atomically write named tensors; float32/float64 only."""
+    """Atomically write named tensors; float32, float64 or uint8, anything else as float64."""
     chunks = [MAGIC, struct.pack("<I", len(tensors))]
     seen = set()
     for name, arr in tensors.items():
@@ -281,8 +282,9 @@ def append_object_nodes(skeleton: np.ndarray, objects: np.ndarray) -> np.ndarray
 
 
 def parse_flat_config(text: str, known_keys: dict[str, type]) -> dict:
-    """key = value lines; '#' comments; unknown keys are hard errors."""
+    """key = value lines; '#' comments; unknown or repeated keys are hard errors."""
     out: dict = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -292,6 +294,9 @@ def parse_flat_config(text: str, known_keys: dict[str, type]) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known_keys:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"config line {lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         caster = known_keys[key]
         try:
             out[key] = caster(value)

@@ -203,7 +203,6 @@ def layer_suite(seed: int, coverage: Coverage) -> dict[str, float]:
 
     run("sgc", SpatialGraphConv(4, 3, A, Np, rng), (B, 4, T, N))
     run("conv1x1", Conv1x1(4, 3, rng), (B, 4, T, N))
-    run("conv1x1_strided", Conv1x1(4, 3, rng, stride=2), (B, 4, T, N))
     run("tconv_d1", TemporalConv(3, 4, rng, dilation=1), (B, 3, T, N))
     run("tconv_d2_s2", TemporalConv(3, 4, rng, dilation=2, stride=2), (B, 3, T, N))
     run("maxpool", MaxPoolT(stride=2), (B, 4, T, N))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .core import Module
+from .core import Module, kaiming_uniform
 from .layers import (
     BatchNorm,
     Conv1x1,
@@ -17,15 +17,10 @@ from .layers import (
 
 
 class _ConvBranch(Module):
-    """(bottleneck) -> BN -> ReLU -> dilated 3x1 temporal conv.
+    """BN -> ReLU -> dilated 3x1 temporal conv on its slice of the TCN bottleneck output."""
 
-    The bottleneck only holds its weight: MultiScaleTCN applies all four
-    bottlenecks as one gemm, and the branch continues from its slice.
-    """
-
-    def __init__(self, in_channels, branch_channels, rng, stride, dilation):
+    def __init__(self, branch_channels, rng, stride, dilation):
         super().__init__()
-        self.bottleneck = self.add("bottleneck", Conv1x1(in_channels, branch_channels, rng))
         self.bn = self.add("bn", BatchNorm(branch_channels))
         self.relu = self.add("relu", ReLU())
         self.tconv = self.add(
@@ -41,11 +36,10 @@ class _ConvBranch(Module):
 
 
 class _PoolBranch(Module):
-    """(bottleneck) -> BN -> ReLU -> 3x1 temporal max pooling; see _ConvBranch."""
+    """BN -> ReLU -> 3x1 temporal max pooling; see _ConvBranch."""
 
-    def __init__(self, in_channels, branch_channels, rng, stride):
+    def __init__(self, branch_channels, stride):
         super().__init__()
-        self.bottleneck = self.add("bottleneck", Conv1x1(in_channels, branch_channels, rng))
         self.bn = self.add("bn", BatchNorm(branch_channels))
         self.relu = self.add("relu", ReLU())
         self.pool = self.add("pool", MaxPoolT(stride=stride))
@@ -61,11 +55,11 @@ class MultiScaleTCN(Module):
     """Four-branch temporal layer; branch outputs concatenate to out_channels.
 
     Branches: 3x1 conv at dilation 1, 3x1 conv at dilation 2, 3x1 max
-    pooling, and a plain (strided) bottleneck. All branches share the block
-    stride so T_out = ceil(T / stride). The four 1x1 bottlenecks (b3 is the
-    fourth) only own their weights and gradients: they run as one gemm over
-    the stacked weights, branch i continues from channel slice i of its
-    output, and b3's output is its strided slice.
+    pooling, and a plain (strided) 1x1 projection. All branches share the
+    block stride so T_out = ceil(T / stride). The four 1x1 bottlenecks are
+    one weight ``w`` of shape (4 * bc, C_in) applied as one gemm: branch i
+    continues from channel slice i of its output, and the plain branch's
+    output is its strided slice.
     """
 
     def __init__(self, in_channels, out_channels, rng, stride=1):
@@ -75,39 +69,36 @@ class MultiScaleTCN(Module):
         bc = out_channels // 4
         self.branch_channels = bc
         self.stride = stride
-        self.branches = [
-            self.add("b0", _ConvBranch(in_channels, bc, rng, stride, dilation=1)),
-            self.add("b1", _ConvBranch(in_channels, bc, rng, stride, dilation=2)),
-            self.add("b2", _PoolBranch(in_channels, bc, rng, stride)),
-            self.add("b3", Conv1x1(in_channels, bc, rng, stride=stride)),
-        ]
-        self._bottlenecks = [b.bottleneck for b in self.branches[:3]] + self.branches[3:]
 
-    def _stacked_w(self):
-        return np.concatenate([conv.w for conv in self._bottlenecks])
+        def rows():
+            return kaiming_uniform(rng, (bc, in_channels), in_channels)
+
+        # each row block is drawn just before its branch's own weights (the plain branch has none)
+        w0, b0 = rows(), _ConvBranch(bc, rng, stride, dilation=1)
+        w1, b1 = rows(), _ConvBranch(bc, rng, stride, dilation=2)
+        w2, b2 = rows(), _PoolBranch(bc, stride)
+        self.w = self.param("w", np.concatenate([w0, w1, w2, rows()]))
+        self.branches = [self.add(f"b{i}", b) for i, b in enumerate((b0, b1, b2))]
 
     def forward(self, x, training=False):
         self._cache, bc = x if training else None, self.branch_channels
         B, C, T, N = x.shape
-        y = (self._stacked_w() @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
+        y = (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
         # eval BN and ReLU work in place on the disjoint channel slices of the fresh y;
-        # b3's slice is only read, by the concatenate
-        outs = [b.forward(y[:, i * bc : (i + 1) * bc], training)
-                for i, b in enumerate(self.branches[:3])]
+        # the plain branch's slice is only read, by the concatenate
+        outs = [b.forward(y[:, i * bc : (i + 1) * bc], training) for i, b in enumerate(self.branches)]
         return np.concatenate(outs + [y[:, 3 * bc :, :: self.stride]], axis=1)
 
     def backward(self, grad_out):
         x, bc = self._saved(), self.branch_channels
         B, C, T, N = x.shape
         gy = np.zeros((B, 4 * bc, T, N), dtype=grad_out.dtype)
-        for i, b in enumerate(self.branches[:3]):
+        for i, b in enumerate(self.branches):
             gy[:, i * bc : (i + 1) * bc] = b.backward(grad_out[:, i * bc : (i + 1) * bc])
         gy[:, 3 * bc :, :: self.stride] = grad_out[:, 3 * bc :]
         g2 = gy.reshape(B, -1, T * N)
-        dw = np.matmul(g2, x.reshape(B, C, T * N).transpose(0, 2, 1)).sum(axis=0)
-        for i, conv in enumerate(self._bottlenecks):
-            conv._grads["w"] += dw[i * bc : (i + 1) * bc]
-        return (self._stacked_w().T @ g2).reshape(B, C, T, N)
+        self._grads["w"] += np.matmul(g2, x.reshape(B, C, T * N).transpose(0, 2, 1)).sum(axis=0)
+        return (self.w.T @ g2).reshape(B, C, T, N)
 
 
 # Graphs of at most this many nodes run the SGC as one dense block: there the
@@ -119,9 +110,10 @@ class BasicBlock(Module):
     """SGC -> multi-scale TCN -> person attention, with residual links.
 
     y1 = relu(bn(SGC(x)) + res(x));  y2 = relu(bn(TCN(y1)) + res(y1));
-    y3 = y2 + y2 * att. Residual projections are 1x1 (strided for the TCN
-    stage) whenever channels or frame count change. The SGC is dense up to
-    DENSE_SGC_MAX_NODES nodes and per-person above.
+    y3 = y2 + y2 * att. Residual projections are 1x1 whenever channels or
+    frame count change; the TCN stage's residual reads every stride-th frame
+    of y1. The SGC is dense up to DENSE_SGC_MAX_NODES nodes and per-person
+    above.
     """
 
     def __init__(
@@ -144,7 +136,7 @@ class BasicBlock(Module):
         self.relu2 = self.add("relu2", ReLU())
         self.res2 = None
         if stride != 1:
-            self.res2 = self.add("res2", Conv1x1(out_channels, out_channels, rng, stride=stride))
+            self.res2 = self.add("res2", Conv1x1(out_channels, out_channels, rng))
         self.att = self.add("att", STPAttention(out_channels, num_persons, nodes_per_person, rng))
 
     def forward(self, x, training=False):
@@ -155,7 +147,8 @@ class BasicBlock(Module):
         s += x if self.res1 is None else self.res1.forward(x, training)
         y1 = self.relu1.forward(s, training)
         t = self.bn2.forward(self.tcn.forward(y1, training), training)
-        t += y1 if self.res2 is None else self.res2.forward(y1, training)
+        y1s = y1[:, :, :: self.stride]
+        t += y1s if self.res2 is None else self.res2.forward(y1s, training)
         y2 = self.relu2.forward(t, training)
         out = self.att.forward(y2, training)
         out += y2
@@ -166,7 +159,7 @@ class BasicBlock(Module):
         gy2 += grad_out
         gpre2 = self.relu2.backward(gy2)
         gy1 = self.tcn.backward(self.bn2.backward(gpre2))
-        gy1 += gpre2 if self.res2 is None else self.res2.backward(gpre2)
+        gy1[:, :, :: self.stride] += gpre2 if self.res2 is None else self.res2.backward(gpre2)
         gpre1 = self.relu1.backward(gy1)
         gx = self.sgc.backward(self.bn1.backward(gpre1))
         gx += gpre1 if self.res1 is None else self.res1.backward(gpre1)

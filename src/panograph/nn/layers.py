@@ -26,30 +26,23 @@ class ReLU(Module):
 
 
 class Conv1x1(Module):
-    """Pointwise channel transform, optionally with temporal subsampling."""
+    """Pointwise channel transform."""
 
-    def __init__(self, in_channels, out_channels, rng, stride=1):
+    def __init__(self, in_channels, out_channels, rng):
         super().__init__()
-        self.stride = stride
         self.w = self.param("w", kaiming_uniform(rng, (out_channels, in_channels), in_channels))
 
     def forward(self, x, training=False):
-        xs = x[:, :, :: self.stride, :] if self.stride > 1 else x
-        self._cache = (xs, x.shape[2]) if training else None
-        B, C, T, N = xs.shape
-        return (self.w @ xs.reshape(B, C, T * N)).reshape(B, -1, T, N)
+        self._cache = (x,) if training else None  # panobench's flop count reads _cache[0].shape
+        B, C, T, N = x.shape
+        return (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
 
     def backward(self, grad_out):
-        x, full_T = self._saved()
+        (x,) = self._saved()
         B, O, T, N = grad_out.shape
         g2 = grad_out.reshape(B, O, T * N)
         self._grads["w"] += np.matmul(g2, x.reshape(B, -1, T * N).transpose(0, 2, 1)).sum(axis=0)
-        gx = (self.w.T @ g2).reshape(B, -1, T, N)
-        if self.stride > 1:
-            full = np.zeros((B, gx.shape[1], full_T, N), dtype=gx.dtype)
-            full[:, :, :: self.stride, :] = gx
-            return full
-        return gx
+        return (self.w.T @ g2).reshape(B, -1, T, N)
 
 
 @functools.lru_cache(maxsize=64)

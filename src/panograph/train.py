@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import typing
 import zlib
@@ -29,8 +30,15 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError("warmup_epochs must be < epochs")
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be positive")
+        for key, ok, want in (
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("base_lr", 0 < self.base_lr < math.inf, "finite and > 0"),
+            ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
+        ):
+            if not ok:  # every comparison with nan is False
+                raise ConfigError(f"{key} must be {want}, got {getattr(self, key)!r}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -271,7 +279,12 @@ def evaluate(
 
 
 def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict | None = None) -> None:
-    tensors: dict[str, np.ndarray] = {}
+    """One PGT1 file: the config JSON (ModelConfig fields, plus ``graph``) as the
+    uint8 entry ``config``, then parameters, buffers and normalisation stats."""
+    config = dataclasses.asdict(model.config)
+    if graph_info:
+        config["graph"] = graph_info
+    tensors = {"config": np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)}
     for name, p in model.named_parameters():
         tensors["param." + name] = p
     for name, b in model.named_buffers():
@@ -280,10 +293,6 @@ def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict 
         tensors[f"norm.{key}.mean"] = mean
         tensors[f"norm.{key}.std"] = std
     data_io.write_tensor_container(path, tensors)
-    sidecar = dataclasses.asdict(model.config)
-    if graph_info:
-        sidecar["graph"] = graph_info
-    data_io.write_atomic(path + ".json", lambda fh: json.dump(sidecar, fh, indent=1), "w")
 
 
 def _has_type(value, hint) -> bool:
@@ -293,37 +302,38 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
-def _check_sidecar(path: str, fields: dict, info) -> None:
-    """Reject config keys, field types or a graph entry a ModelConfig cannot come from."""
+def _read_config(path: str, tensors: dict) -> tuple[dict, dict | None]:
+    """Pop and check the ``config`` entry: ModelConfig fields and the optional graph info."""
+    if "config" not in tensors:
+        raise FormatError(f"{path}: no config entry (a config in a separate .json file is not read)")
+    try:
+        fields = json.loads(tensors.pop("config").tobytes())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+        raise FormatError(f"{path}: config: malformed ({exc})") from exc
+    if not isinstance(fields, dict):
+        raise FormatError(f"{path}: config: not a JSON object")
+    info = fields.pop("graph", None)
     hints = typing.get_type_hints(ModelConfig)
-    check_names(f"{path}.json: config keys", [f.name for f in dataclasses.fields(ModelConfig)], fields)
+    check_names(f"{path}: config keys", [f.name for f in dataclasses.fields(ModelConfig)], fields)
     for name, value in fields.items():
         hint = hints[name]
         if not _has_type(value, hint):
             label = str(hint) if typing.get_origin(hint) else hint.__name__
-            raise FormatError(f"{path}.json: {name} must be {label}, got {value!r}")
+            raise FormatError(f"{path}: config: {name} must be {label}, got {value!r}")
     if info is not None and not (
         isinstance(info, dict) and set(info) <= {"layout", "inter_variant"}
         and isinstance(info.get("layout"), str) and isinstance(info.get("inter_variant", ""), str)
     ):
-        raise FormatError(f"{path}.json: graph must be an object with a string layout and an "
+        raise FormatError(f"{path}: config: graph must be an object with a string layout and an "
                           f"optional string inter_variant, got {info!r}")
+    return fields, info
 
 
 def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPGCN, dict]:
     """Rebuild a saved model and its normalisation stats; errors name the file."""
-    try:
-        with open(path + ".json") as fh:
-            sidecar = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"{path}.json: cannot read checkpoint config ({exc.strerror})") from exc
-    except ValueError as exc:
-        raise FormatError(f"{path}.json: malformed checkpoint config ({exc})") from exc
-    if not isinstance(sidecar, dict):
-        raise FormatError(f"{path}.json: checkpoint config is not a JSON object")
-    info = sidecar.pop("graph", None)
-    _check_sidecar(path, sidecar, info)
-    cfg = ModelConfig(**sidecar)
+    tensors = data_io.read_tensor_container(path)
+    fields, info = _read_config(path, tensors)
+    cfg = ModelConfig(**fields)
     if adjacency is None:
         if info is None:
             raise InputError(f"{path}: checkpoint carries no graph info; pass an adjacency")
@@ -331,9 +341,8 @@ def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPG
             topo = graph.build_topology(info["layout"], cfg.num_persons, cfg.joints_per_person,
                                         cfg.object_keypoints, info.get("inter_variant", "pairwise"))
         except ConfigError as exc:
-            raise FormatError(f"{path}.json: graph: {exc}") from exc
+            raise FormatError(f"{path}: config: graph: {exc}") from exc
         adjacency = graph.partition_and_normalize(topo).A_hat
-    tensors = data_io.read_tensor_container(path)
     model = MPGCN(cfg, adjacency, np.random.default_rng(0))
     params = {k[len("param."):]: v for k, v in tensors.items() if k.startswith("param.")}
     buffers = {k[len("buffer."):]: v for k, v in tensors.items() if k.startswith("buffer.")}

@@ -2,7 +2,6 @@
 import dataclasses
 import json
 import os
-import shutil
 
 import numpy as np
 import pytest
@@ -186,7 +185,7 @@ class TestTrain:
     def test_artifacts(self, pipeline):
         _, _, out = pipeline
         assert os.path.exists(os.path.join(out, "ckpt_final.pgt"))
-        assert os.path.exists(os.path.join(out, "ckpt_final.pgt.json"))
+        assert not os.path.exists(os.path.join(out, "ckpt_final.pgt.json"))
         assert os.path.exists(os.path.join(out, "ckpt_best.pgt"))
         records = [json.loads(l) for l in open(os.path.join(out, "metrics.jsonl"))]
         assert len(records) == 3
@@ -204,6 +203,44 @@ class TestTrain:
         records = [json.loads(l) for l in open(out / "metrics.jsonl")]
         expected = train.TrainConfig(**values)
         assert [r["lr"] for r in records] == [train.lr_at(e, expected) for e in range(2)]
+
+    def config_error(self, pipeline, tmp_path, capsys, text):
+        """Train with config ``text``: exit 1 before any epoch, with one error line."""
+        _, data, _ = pipeline
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli.main(["train", "--config", str(cfg), "--data", data,
+                         "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert '"epoch"' not in out
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        return errors[0]
+
+    @pytest.mark.parametrize("line, named", [
+        ("batch_size = 0", "batch_size must be >= 1, got 0"),
+        ("batch_size = -1", "batch_size must be >= 1, got -1"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("base_lr = nan", "base_lr must be finite and > 0, got nan"),
+        ("base_lr = inf", "base_lr must be finite and > 0, got inf"),
+        ("momentum = nan", "momentum must be in [0, 1), got nan"),
+        ("momentum = 1", "momentum must be in [0, 1), got 1.0"),
+        ("momentum = -0.1", "momentum must be in [0, 1), got -0.1"),
+        ("weight_decay = -0.001", "weight_decay must be finite and >= 0, got -0.001"),
+        ("weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
+        ("channel_divisor = 0", "channel_divisor must be >= 1, got 0"),
+    ])
+    def test_bad_config_value_exits_1(self, pipeline, tmp_path, capsys, line, named):
+        key = line.split()[0]
+        kept = [kept for kept in TRAIN_CONFIG.splitlines() if not kept.startswith(key + " ")]
+        text = "\n".join(kept + [line]) + "\n"
+        assert self.config_error(pipeline, tmp_path, capsys, text) == f"error: {named}"
+
+    def test_repeated_config_key_exits_1(self, pipeline, tmp_path, capsys):
+        assert TRAIN_CONFIG.splitlines()[1] == "epochs = 3"
+        text = TRAIN_CONFIG.replace("epochs = 3\n", "epochs = 2\nepochs = 3\n")
+        assert self.config_error(pipeline, tmp_path, capsys, text) == (
+            "error: config line 3: key 'epochs' already set on line 2")
 
     def test_unknown_config_key_exits_1(self, pipeline, tmp_path, capsys):
         _, data, _ = pipeline
@@ -232,30 +269,32 @@ class TestEval:
         fused = json.loads(capsys.readouterr().out)
         assert single == fused
 
+    @staticmethod
+    def copy_with_config(out, ckpt, edit):
+        """Copy the pipeline's final checkpoint to ``ckpt`` with ``edit`` applied to the
+        JSON text of its config entry; an ``edit`` returning None drops the entry."""
+        tensors = data_io.read_tensor_container(os.path.join(out, "ckpt_final.pgt"))
+        text = edit(tensors.pop("config").tobytes().decode())
+        if text is not None:
+            tensors["config"] = np.frombuffer(text.encode(), dtype=np.uint8)
+        data_io.write_tensor_container(ckpt, tensors)
+
     @pytest.mark.parametrize("damage", ["missing", "truncated"])
     def test_broken_checkpoint_config_exits_1(self, pipeline, tmp_path, capsys, damage):
         _, data, out = pipeline
         ckpt = str(tmp_path / "ckpt.pgt")
-        with open(os.path.join(out, "ckpt_final.pgt"), "rb") as src:
-            (tmp_path / "ckpt.pgt").write_bytes(src.read())
-        if damage == "truncated":
-            with open(os.path.join(out, "ckpt_final.pgt.json")) as src:
-                (tmp_path / "ckpt.pgt.json").write_text(src.read()[:40])
+        self.copy_with_config(out, ckpt, lambda text: text[:40] if damage == "truncated" else None)
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {ckpt}.json") and "Traceback" not in err
+        assert err.startswith(f"error: {ckpt}: ") and "config" in err and "Traceback" not in err
 
     def test_mistyped_checkpoint_config_exits_1(self, pipeline, tmp_path, capsys):
         _, data, out = pipeline
         ckpt = str(tmp_path / "ckpt.pgt")
-        shutil.copy(os.path.join(out, "ckpt_final.pgt"), ckpt)
-        with open(os.path.join(out, "ckpt_final.pgt.json")) as fh:
-            sidecar = json.load(fh)
-        sidecar["num_persons"] = "2"
-        (tmp_path / "ckpt.pgt.json").write_text(json.dumps(sidecar))
+        self.copy_with_config(out, ckpt, lambda text: json.dumps({**json.loads(text), "num_persons": "2"}))
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {ckpt}.json: num_persons must be int, got '2'"]
+        assert err.splitlines() == [f"error: {ckpt}: config: num_persons must be int, got '2'"]
 
     def test_val_scores_validation_split(self, pipeline, tmp_path, capsys):
         """A 32-clip set of the pipeline's shape: the top level scores every clip, val only the validation clips."""

@@ -37,6 +37,16 @@ class TestContainer:
         assert out["x"].dtype == np.float32
         assert np.array_equal(out["x"], arr)
 
+    def test_uint8_roundtrip_preserves_dtype(self, tmp_path):
+        """Tag 2 holds bytes, such as a checkpoint's JSON config."""
+        path = str(tmp_path / "u8.pgt")
+        arr = np.frombuffer(b'{"a": 1}', dtype=np.uint8)
+        data_io.write_tensor_container(path, {"config": arr})
+        raw = open(path, "rb").read()
+        assert raw[16:18] == bytes([2, 1]) and raw[-8:] == b'{"a": 1}'
+        out = data_io.read_tensor_container(path)["config"]
+        assert out.dtype == np.uint8 and out.tobytes() == b'{"a": 1}'
+
     def test_integer_input_promoted_to_f64(self, tmp_path):
         path = str(tmp_path / "int.pgt")
         data_io.write_tensor_container(path, {"x": np.arange(4)})

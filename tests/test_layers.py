@@ -19,6 +19,7 @@ from panograph.nn import (
     STPAttention,
     TemporalConv,
 )
+from panograph.nn.core import kaiming_uniform
 
 
 def identity_adjacency(n, K=3):
@@ -455,6 +456,15 @@ class TestMultiScaleTCN:
         with pytest.raises(ConfigError):
             MultiScaleTCN(4, 6, np.random.default_rng(0))
 
+    @staticmethod
+    def standalone_bottlenecks(tcn):
+        """One Conv1x1 per branch, holding that branch's row block of ``tcn.w``."""
+        bc, (_, C) = tcn.branch_channels, tcn.w.shape
+        convs = [Conv1x1(C, bc, np.random.default_rng(0)) for _ in range(4)]
+        for i, conv in enumerate(convs):
+            conv.w[...] = tcn.w[i * bc : (i + 1) * bc]
+        return convs
+
     def test_branch_slices_match_standalone(self):
         """Each quarter is its branch's own Conv1x1 -> BN -> ReLU -> tconv/pool."""
         rng = np.random.default_rng(9)
@@ -462,34 +472,52 @@ class TestMultiScaleTCN:
         x = rng.standard_normal((2, 3, 6, 4))
         out = tcn.forward(x, training=True)
         bc = tcn.branch_channels
-        *branches, plain = tcn.branches
-        expected = [b.forward(b.bottleneck.forward(x), training=True) for b in branches]
-        expected.append(plain.forward(x))
+        *convs, plain = self.standalone_bottlenecks(tcn)
+        expected = [b.forward(conv.forward(x), training=True) for b, conv in zip(tcn.branches, convs)]
+        expected.append(plain.forward(x[:, :, ::2]))
         for i, e in enumerate(expected):
             assert np.allclose(out[:, i * bc : (i + 1) * bc], e, atol=1e-12)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_stacked_bottleneck_gradients_match_per_branch_sum(self, stride):
-        """gx and the four bottleneck dW against one Conv1x1 backward per branch, summed."""
+        """gx and every row block of dW against one Conv1x1 backward per branch, summed."""
         rng = np.random.default_rng(34)
         tcn = MultiScaleTCN(4, 12, rng, stride=stride)
         x = rng.standard_normal((3, 4, 7, 5))
         g = rng.standard_normal(tcn.forward(x, training=True).shape)
         tcn.zero_grad()
         gx = tcn.backward(g)
-        *branches, plain = tcn.branches
-        bottlenecks = [b.bottleneck for b in branches] + [plain]
-        dw = [conv._grads["w"].copy() for conv in bottlenecks]
-        tcn.zero_grad()
+        dw = tcn._grads["w"].copy()
         bc = tcn.branch_channels
-        plain.forward(x, training=True)
-        expected = plain.backward(g[:, 3 * bc :])
-        for i, b in enumerate(branches):
-            b.forward(b.bottleneck.forward(x, training=True), training=True)
-            expected += b.bottleneck.backward(b.backward(g[:, i * bc : (i + 1) * bc]))
+        *convs, plain = self.standalone_bottlenecks(tcn)
+        plain.forward(x[:, :, ::stride], training=True)
+        expected = np.zeros_like(x)
+        expected[:, :, ::stride] = plain.backward(g[:, 3 * bc :])
+        for i, (b, conv) in enumerate(zip(tcn.branches, convs)):
+            b.forward(conv.forward(x, training=True), training=True)
+            expected += conv.backward(b.backward(g[:, i * bc : (i + 1) * bc]))
         assert_rel_close(gx, expected)
-        for conv, d in zip(bottlenecks, dw):
-            assert_rel_close(d, conv._grads["w"])
+        assert_rel_close(dw, np.concatenate([conv._grads["w"] for conv in convs + [plain]]))
+
+    def test_weights_follow_the_draw_order(self):
+        """Row blocks and tconv weights come off the rng as b0 rows, b0.tconv, b1 rows,
+        b1.tconv, b2 rows, b3 rows, and nothing else is drawn."""
+        C, bc = 5, 3
+        built, drawn = np.random.default_rng(41), np.random.default_rng(41)
+        tcn = MultiScaleTCN(C, 4 * bc, built, stride=2)
+
+        def rows():
+            return kaiming_uniform(drawn, (bc, C), C)
+
+        def tconv():
+            return kaiming_uniform(drawn, (bc, bc, 3), 3 * bc)
+
+        expected = [rows(), tconv(), rows(), tconv(), rows(), rows()]
+        b0, b1, _ = tcn.branches
+        got = [tcn.w[:bc], b0.tconv.w, tcn.w[bc : 2 * bc], b1.tconv.w, tcn.w[2 * bc : 3 * bc],
+               tcn.w[3 * bc :]]
+        assert all(np.array_equal(a, e) for a, e in zip(got, expected))
+        assert built.random() == drawn.random()
 
     def test_stride_halves_frames(self):
         tcn = MultiScaleTCN(2, 4, np.random.default_rng(10), stride=2)
@@ -613,14 +641,13 @@ class TestBasicBlock:
         """Each conv output reaches a BN (directly or beside one), so only BN beta shifts."""
         rng = np.random.default_rng(19)
         block = BasicBlock(4, 8, gradcheck.tiny_adjacency(2, 3), 2, 3, rng, stride=2)
-        conv_branch = ["bottleneck.w", "bn.gamma", "bn.beta"]
         assert [name for name, _ in block.named_parameters()] == [
             "sgc.W0", "sgc.E0", "sgc.W1", "sgc.E1", "sgc.W2", "sgc.E2",
             "bn1.gamma", "bn1.beta",
             "res1.w",
-            *[f"tcn.b{i}.{n}" for i in (0, 1) for n in conv_branch + ["tconv.w"]],
-            *[f"tcn.b2.{n}" for n in conv_branch],
-            "tcn.b3.w",
+            "tcn.w",
+            *[f"tcn.b{i}.{n}" for i in (0, 1) for n in ("bn.gamma", "bn.beta", "tconv.w")],
+            "tcn.b2.bn.gamma", "tcn.b2.bn.beta",
             "bn2.gamma", "bn2.beta",
             "res2.w",
             "att.w1", "att.b1", "att.w2", "att.b2",
@@ -636,7 +663,7 @@ class TestBasicBlock:
                 walk(child)
 
         walk(MPGCN(cfg, A, rng))
-        assert len(convs) == 118
+        assert len(convs) == 46
         assert all(list(conv._params) == ["w"] for conv in convs)
 
     def test_gradients_match_finite_differences(self):
@@ -667,35 +694,12 @@ class TestReLU:
 
 
 class TestConv1x1:
-    def test_stride_subsamples_frames(self):
-        rng = np.random.default_rng(17)
-        conv = Conv1x1(2, 3, rng, stride=2)
-        x = rng.standard_normal((1, 2, 6, 4))
-        out = conv.forward(x)
-        assert out.shape == (1, 3, 3, 4)
-        dense = Conv1x1(2, 3, rng)
-        dense.w[:] = conv.w
-        assert np.allclose(out, dense.forward(x[:, :, ::2, :]), atol=1e-12)
-
-    def test_strided_backward_reinflates(self):
-        rng = np.random.default_rng(18)
-        conv = Conv1x1(2, 2, rng, stride=2)
-        x = rng.standard_normal((1, 2, 5, 3))
-        y = conv.forward(x, training=True)
-        gx = conv.backward(np.ones_like(y))
-        assert gx.shape == x.shape
-        assert np.all(gx[:, :, 1::2, :] == 0)  # skipped frames get zero gradient
-
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_einsum(self, stride):
+    def test_matches_einsum(self):
         rng = np.random.default_rng(31)
-        layer = Conv1x1(4, 6, rng, stride=stride)
+        layer = Conv1x1(4, 6, rng)
         x = rng.standard_normal((3, 4, 7, 5))
         out, g, gx, grads = forward_backward(layer, x, rng)
-        xs = x[:, :, ::stride]
-        exp_gx = np.zeros_like(x)
-        exp_gx[:, :, ::stride] = np.einsum("oc,botn->bctn", layer.w, g)
-        assert_rel_close(out, np.einsum("oc,bctn->botn", layer.w, xs))
+        assert_rel_close(out, np.einsum("oc,bctn->botn", layer.w, x))
         assert set(grads) == {"w"}
-        assert_rel_close(grads["w"], np.einsum("botn,bctn->oc", g, xs))
-        assert_rel_close(gx, exp_gx)
+        assert_rel_close(grads["w"], np.einsum("botn,bctn->oc", g, x))
+        assert_rel_close(gx, np.einsum("oc,botn->bctn", layer.w, g))

@@ -167,6 +167,17 @@ class TestForwardOnlyEval:
         with pytest.raises(ContractError, match="MPGCN.backward needs a training forward"):
             model.backward(np.ones((2, cfg.num_classes)))
 
+    def test_every_parameter_owner_runs(self):
+        """No module owns a parameter its forward leaves unused: after one training
+        forward of a desk model, every module that owns one holds a backward cache."""
+        cfg = ModelConfig(3, 5, 1, 16, 8).scaled(4)
+        A = graph.partition_and_normalize(graph.build_topology("chain", 3, 5, 1)).A_hat
+        model = MPGCN(cfg, A, np.random.default_rng(0))
+        model.forward(random_streams(np.random.default_rng(23), cfg, 2), training=True)
+        owners = [m for m in all_modules(model) if m._params]
+        assert len(owners) > 100
+        assert all(m._cache is not None for m in owners)
+
     def test_eval_between_training_steps_changes_no_gradient(self):
         """train -> eval -> train -> backward gives the gradients of train -> backward."""
         grads = []

@@ -30,6 +30,20 @@ def tiny_setup(seed=0, num_classes=5):
     return cfg, A
 
 
+def read_config(path):
+    """The JSON text of a checkpoint's ``config`` entry."""
+    return data_io.read_tensor_container(path)["config"].tobytes().decode()
+
+
+def write_config(path, text):
+    """Rewrite a checkpoint with ``text`` as its ``config`` entry, or without one for None."""
+    tensors = data_io.read_tensor_container(path)
+    del tensors["config"]
+    if text is not None:
+        tensors["config"] = np.frombuffer(text.encode(), dtype=np.uint8)
+    data_io.write_tensor_container(path, tensors)
+
+
 def tiny_dataset(cfg, size, rng, separable=True):
     """Random streams; labels either encoded in the data or arbitrary."""
     streams, labels = [], []
@@ -331,17 +345,17 @@ class TestEvaluateAndCheckpoints:
     )
     def test_checkpoint_sidecar_keys_must_match_config(self, tmp_path, change, named):
         cfg, A, *_ = self.trained(tmp_path)
-        sidecar_path = tmp_path / "ckpt_final.pgt.json"
-        sidecar = json.loads(sidecar_path.read_text())
-        assert sidecar == dataclasses.asdict(cfg)
+        path = str(tmp_path / "ckpt_final.pgt")
+        config = json.loads(read_config(path))
+        assert config == dataclasses.asdict(cfg)
         for key, value in change.items():
             if value is None:
-                del sidecar[key]
+                del config[key]
             else:
-                sidecar[key] = value
-        sidecar_path.write_text(json.dumps(sidecar))
-        with pytest.raises(FormatError, match=re.escape(named)):
-            train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"), A)
+                config[key] = value
+        write_config(path, json.dumps(config))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: config keys") + ".*" + re.escape(named)):
+            train.load_checkpoint(path, A)
 
     @pytest.mark.parametrize(
         "graph_info, change, named",
@@ -361,10 +375,10 @@ class TestEvaluateAndCheckpoints:
     def test_checkpoint_sidecar_types_checked(self, tmp_path, graph_info, change, named):
         self.trained(tmp_path, graph_info=graph_info)
         path = str(tmp_path / "ckpt_final.pgt")
-        sidecar = json.loads((tmp_path / "ckpt_final.pgt.json").read_text())
-        sidecar.update(change)
-        (tmp_path / "ckpt_final.pgt.json").write_text(json.dumps(sidecar))
-        with pytest.raises(FormatError, match=re.escape(f"{path}.json: {named}")):
+        config = json.loads(read_config(path))
+        config.update(change)
+        write_config(path, json.dumps(config))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: config: {named}")):
             train.load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -404,30 +418,39 @@ class TestEvaluateAndCheckpoints:
         assert all(np.array_equal(p, before[name]) for name, p in model.named_parameters())
 
     def test_checkpoint_config_missing_or_truncated(self, tmp_path):
+        """A truncated config entry is malformed; a container without one (as written
+        before the config moved into the checkpoint) is refused by name."""
         _, A, *_ = self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
-        text = (tmp_path / "ckpt_final.pgt.json").read_text()
-        (tmp_path / "ckpt_final.pgt.json").write_text(text[: len(text) // 2])
-        with pytest.raises(FormatError, match=re.escape(f"{path}.json: malformed")):
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_best.pgt", "ckpt_final.pgt",
+                                                              "metrics.jsonl"]
+        text = read_config(path)
+        write_config(path, text[: len(text) // 2])
+        with pytest.raises(FormatError, match=re.escape(f"{path}: config: malformed")):
             train.load_checkpoint(path, A)
-        (tmp_path / "ckpt_final.pgt.json").unlink()
-        with pytest.raises(InputError, match=re.escape(f"{path}.json: cannot read")):
+        write_config(path, None)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: no config entry")):
             train.load_checkpoint(path, A)
 
     def test_failed_sidecar_write_keeps_previous(self, tmp_path, monkeypatch):
+        """A checkpoint write that fails part way leaves the old file and no temp file."""
         *_, model, stats = self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
-        before = (tmp_path / "ckpt_final.pgt.json").read_bytes()
+        before = (tmp_path / "ckpt_final.pgt").read_bytes()
         listing = sorted(p.name for p in tmp_path.iterdir())
+        write_atomic = data_io.write_atomic
 
-        def broken_dump(obj, fh, **kwargs):
-            fh.write('{"num_persons": ')
-            raise OSError("disk full")
+        def broken_write(target, write, mode):
+            def half(fh):
+                fh.write(b"PGT1")
+                raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", broken_dump)
+            write_atomic(target, half, mode)
+
+        monkeypatch.setattr(data_io, "write_atomic", broken_write)
         with pytest.raises(OSError, match="disk full"):
             train.save_checkpoint(path, model, stats)
-        assert (tmp_path / "ckpt_final.pgt.json").read_bytes() == before
+        assert (tmp_path / "ckpt_final.pgt").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
     def test_checkpoint_container_missing(self, tmp_path):
