@@ -8,6 +8,7 @@ and raw payload. Used for skeleton tensors, feature caches and checkpoints
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -95,12 +96,15 @@ def read_tensor_container(path: str) -> dict[str, np.ndarray]:
         if name in out:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
         dtype = _DTYPES[tag]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize  # Python ints: an int64 product can wrap
         payload = data[off : off + nbytes]
         if len(payload) != nbytes:
             raise FormatError(f"{path}: truncated payload for entry {name!r}")
         off += nbytes
-        out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        try:
+            out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # a rank over numpy's limit, or a zero dim beside huge ones
+            raise FormatError(f"{path}: entry {name!r} has shape {dims}: {exc}") from exc
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes after {count} entries")
     return out

@@ -1,6 +1,7 @@
 """Minimal module system: parameter/buffer registry with manual backward."""
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -93,6 +94,30 @@ class Module:
         if self._cache is None:
             raise ContractError(f"{type(self).__name__}.backward needs a training forward first")
         return self._cache
+
+
+class Workspace:
+    """Scratch arrays that never leave a call, one flat float64 buffer per name.
+
+    ``get(name, shape)`` returns a view of the buffer's first prod(shape)
+    entries, growing it to the largest request. Reuse is the point: a freed
+    buffer of many megabytes goes back to the OS, and a fresh one faults its
+    pages in again. Contents are stale, views alive together need distinct
+    names, and the layers share one instance from one thread at a time.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+WORKSPACE = Workspace()
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

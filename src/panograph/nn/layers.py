@@ -6,7 +6,7 @@ import functools
 import numpy as np
 
 from ..errors import ConfigError, ContractError
-from .core import Module, kaiming_uniform
+from .core import WORKSPACE, Module, kaiming_uniform
 
 
 class ReLU(Module):
@@ -231,7 +231,8 @@ class SpatialGraphConv(Module):
     partition) are a node scale s = diag(E_k) * diag(A_k), so their slot is
     x * s and E_k's gradient stays on the diagonal. No product visits the
     zeros between persons; with nodes_per_person = N there is one block and
-    no hub, which is the dense product.
+    no hub, which is the dense product. A training forward caches only x:
+    backward rebuilds the aggregates from it by the same operations.
     """
 
     def __init__(self, in_channels, out_channels, adjacency, nodes_per_person, rng):
@@ -274,15 +275,12 @@ class SpatialGraphConv(Module):
         M, P, _ = self._block_idx.shape
         return a.reshape(B, C * T, M, P)
 
-    def forward(self, x, training=False):
-        if x.shape[3] != self.adjacency.shape[1]:
-            raise ContractError(
-                f"node dim {x.shape[3]} does not match adjacency {self.adjacency.shape[1]}"
-            )
-        B, C, T, N = x.shape
+    def _stack(self, x):
+        """The within-person aggregates of x, (B, L, C*T, M, P), in the shared workspace."""
+        B, C, T, _ = x.shape
         M, P, _ = self._block_idx.shape
         x4 = self._by_person(x)
-        z = np.empty((B, len(self._blocks), C * T, M, P))
+        z = WORKSPACE.get("sgc.z", (B, len(self._blocks), C * T, M, P))
         for i, (k, a) in enumerate(self._blocks):
             e = self._params[f"E{k}"]
             if a.ndim == 1:  # node scale
@@ -291,29 +289,44 @@ class SpatialGraphConv(Module):
                 mk = e.take(self._block_idx) * a
                 np.matmul(x4.transpose(0, 2, 1, 3), mk.transpose(0, 2, 1),
                           out=z[:, i].transpose(0, 2, 1, 3))
+        return z
+
+    def _hub_inputs(self, x, k, hubs, on_hubs, cross):
+        """x on the hubs (B, C, T, h), the masked cross-person A_k there and their aggregate."""
+        B, C, T, _ = x.shape
+        h = hubs.size
+        xh = x.take(hubs, axis=3)
+        mc = self._params[f"E{k}"].take(on_hubs) * cross
+        zc = (xh.reshape(-1, h) @ mc.T).reshape(B, C, T * h)
+        return xh, mc, zc
+
+    def forward(self, x, training=False):
+        if x.shape[3] != self.adjacency.shape[1]:
+            raise ContractError(
+                f"node dim {x.shape[3]} does not match adjacency {self.adjacency.shape[1]}"
+            )
+        B, C, T, N = x.shape
+        z = self._stack(x)
         out = (self._stacked_w().T @ z.reshape(B, -1, T * N)).reshape(B, -1, T, N)
-        hub_x = []
         for k, hubs, on_hubs, cross in self._hubs:
-            h = hubs.size
-            xh = x.take(hubs, axis=3)  # (B, C, T, h)
-            mc = self._params[f"E{k}"].take(on_hubs) * cross
-            zc = (xh.reshape(-1, h) @ mc.T).reshape(B, C, T * h)
-            mixed = (self._params[f"W{k}"].T @ zc).reshape(B, -1, T, h)
+            _, _, zc = self._hub_inputs(x, k, hubs, on_hubs, cross)
+            mixed = (self._params[f"W{k}"].T @ zc).reshape(B, -1, T, hubs.size)
             out[..., hubs] = out.take(hubs, axis=3) + mixed  # faster than += through an index
-            hub_x.append((xh, zc))
-        self._cache = (x, z, hub_x) if training else None
+        self._cache = (x,) if training else None  # panobench's flop count reads _cache[0].shape
         return out
 
     def backward(self, grad_out):
-        x, z, hub_x = self._saved()
+        (x,) = self._saved()
         B, C, T, N = x.shape
         M, P, _ = self._block_idx.shape
         g2 = grad_out.reshape(B, -1, T * N)
+        z = self._stack(x)
         L = z.shape[1]
         dw = np.matmul(z.reshape(B, L * C, T * N), g2.transpose(0, 2, 1)).sum(axis=0)
-        gz = (self._stacked_w() @ g2).reshape(z.shape)
+        gz = WORKSPACE.get("sgc.gz", z.shape)
+        np.matmul(self._stacked_w(), g2, out=gz.reshape(B, L * C, T * N))
         x4 = self._by_person(x)
-        gx, step = np.empty(x.shape), np.empty(x.shape)
+        gx, step = np.empty(x.shape), WORKSPACE.get("sgc.step", x.shape)
         for i, (k, a) in enumerate(self._blocks):
             self._grads[f"W{k}"] += dw[i * C : (i + 1) * C]
             e, de = self._params[f"E{k}"], self._grads[f"E{k}"].reshape(-1)
@@ -329,13 +342,13 @@ class SpatialGraphConv(Module):
                 np.matmul(gzp, e.take(self._block_idx) * a, out=gxi.transpose(0, 2, 1, 3))
             if i:
                 gx += step
-        for (k, hubs, on_hubs, cross), (xh, zc) in zip(self._hubs, hub_x):
+        for k, hubs, on_hubs, cross in self._hubs:
             h = hubs.size
+            xh, mc, zc = self._hub_inputs(x, k, hubs, on_hubs, cross)
             gh = grad_out.take(hubs, axis=3).reshape(B, -1, T * h)
             self._grads[f"W{k}"] += np.matmul(zc, gh.transpose(0, 2, 1)).sum(axis=0)
             gzc = (self._params[f"W{k}"] @ gh).reshape(-1, h)
             self._grads[f"E{k}"].reshape(-1)[on_hubs] += (gzc.T @ xh.reshape(-1, h)) * cross
-            mc = self._params[f"E{k}"].take(on_hubs) * cross
             gx[..., hubs] = gx.take(hubs, axis=3) + (gzc @ mc).reshape(B, C, T, h)
         return gx
 

@@ -48,9 +48,16 @@ class ModelConfig:
     def validate(self) -> None:
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
+        for name in ("num_persons", "joints_per_person", "num_frames", "in_channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.object_keypoints < 0:
+            raise ConfigError(f"object_keypoints must be >= 0, got {self.object_keypoints}")
+        if not (self.input_branch_channels and self.main_branch_channels):
+            raise ConfigError("both branches need at least one block")
         for width in self.input_branch_channels + self.main_branch_channels:
-            if width % 4 != 0:
-                raise ConfigError(f"block output {width} not divisible by 4 (TCN branches)")
+            if width < 4 or width % 4 != 0:
+                raise ConfigError(f"block output {width} not a positive multiple of 4 (TCN branches)")
 
     def scaled(self, divisor: int) -> "ModelConfig":
         """Channel plan shrunk by an integer divisor (for tiny/desk-scale runs)."""

@@ -333,6 +333,9 @@ def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPG
     """Rebuild a saved model and its normalisation stats; errors name the file."""
     tensors = data_io.read_tensor_container(path)
     fields, info = _read_config(path, tensors)
+    for name, value in tensors.items():  # parameters, buffers and norm.* stats
+        if not np.isfinite(value).all():
+            raise FormatError(f"{path}: entry {name!r} is not finite")
     cfg = ModelConfig(**fields)
     if adjacency is None:
         if info is None:
@@ -343,7 +346,10 @@ def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPG
         except ConfigError as exc:
             raise FormatError(f"{path}: config: graph: {exc}") from exc
         adjacency = graph.partition_and_normalize(topo).A_hat
-    model = MPGCN(cfg, adjacency, np.random.default_rng(0))
+    try:
+        model = MPGCN(cfg, adjacency, np.random.default_rng(0))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: config: {exc}") from exc
     params = {k[len("param."):]: v for k, v in tensors.items() if k.startswith("param.")}
     buffers = {k[len("buffer."):]: v for k, v in tensors.items() if k.startswith("buffer.")}
     norm = [f"norm.{key}.{stat}" for key in STREAM_ORDER for stat in ("mean", "std")]

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -295,6 +296,24 @@ class TestEval:
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {ckpt}: config: num_persons must be int, got '2'"]
+
+    @pytest.mark.parametrize("damage", ["nan", "shape"])
+    def test_damaged_checkpoint_tensor_exits_1(self, pipeline, tmp_path, capsys, damage):
+        """A NaN weight, or the 32-byte container whose one entry numpy cannot shape."""
+        _, data, out = pipeline
+        ckpt = str(tmp_path / "ckpt.pgt")
+        if damage == "nan":
+            tensors = data_io.read_tensor_container(os.path.join(out, "ckpt_final.pgt"))
+            tensors["param.branch0.block0.sgc.W0"][0, 0] = np.nan
+            data_io.write_tensor_container(ckpt, tensors)
+            expected = "entry 'param.branch0.block0.sgc.W0' is not finite"
+        else:
+            entry = struct.pack("<H8sBB3I", 8, b"skeleton", 1, 3, 0, 2**32 - 1, 2**32 - 1)
+            open(ckpt, "wb").write(b"PGT1" + struct.pack("<I", 1) + entry)
+            expected = "entry 'skeleton' has shape (0, 4294967295, 4294967295)"
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {ckpt}: {expected}")
 
     def test_val_scores_validation_split(self, pipeline, tmp_path, capsys):
         """A 32-clip set of the pipeline's shape: the top level scores every clip, val only the validation clips."""

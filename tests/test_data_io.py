@@ -98,6 +98,39 @@ class TestContainer:
         with pytest.raises(FormatError, match="4 trailing bytes"):
             data_io.read_tensor_container(path)
 
+    @pytest.mark.parametrize("rank, dims", [(3, (0, 2**32 - 1, 2**32 - 1)), (65, (1,) * 65)],
+                             ids=["too-big", "rank-65"])
+    def test_shape_numpy_cannot_hold(self, tmp_path, rank, dims):
+        """An empty payload beside huge dims (32 bytes in all), or a rank over numpy's 64."""
+        path = str(tmp_path / "shape.pgt")
+        body = struct.pack("<H", 8) + b"skeleton" + struct.pack(f"<BB{rank}I", 1, rank, *dims)
+        payload = b"" if 0 in dims else np.float64(1).tobytes()
+        open(path, "wb").write(b"PGT1" + struct.pack("<I", 1) + body + payload)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: entry 'skeleton' has shape {dims}")):
+            data_io.read_tensor_container(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=4),
+           st.integers(0, 128))
+    def test_byte_mutations_raise_only_format_error(self, edits, cut):
+        """A 3-entry container (72 bytes) with bytes overwritten, then cut to ``cut``
+        bytes if shorter: every read returns tensors or raises FormatError."""
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/c.pgt"
+            data_io.write_tensor_container(path, {
+                "a": np.arange(6, dtype=np.float32).reshape(2, 3), "bb": np.float64(2.0),
+                "c": np.frombuffer(b"json", dtype=np.uint8)})
+            raw = bytearray(open(path, "rb").read())
+            for pos, value in edits:
+                raw[pos % len(raw)] = value
+            open(path, "wb").write(bytes(raw[:cut]))
+            try:
+                data_io.read_tensor_container(path)
+            except FormatError:
+                pass
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.dictionaries(

@@ -19,7 +19,7 @@ from panograph.nn import (
     STPAttention,
     TemporalConv,
 )
-from panograph.nn.core import kaiming_uniform
+from panograph.nn.core import WORKSPACE, kaiming_uniform
 
 
 def identity_adjacency(n, K=3):
@@ -196,10 +196,41 @@ class TestSpatialGraphConv:
         z = np.stack([
             np.matmul(xp, (layer._params[f"E{k}"] * A[k]).take(layer._block_idx).transpose(0, 2, 1))
             .transpose(0, 2, 1, 3) for k, _ in layer._blocks], axis=1)
-        assert np.array_equal(layer._cache[1], z)
+        assert np.array_equal(layer._stack(x), z)
         if dense:  # no hubs: the output is the one gemm over the stacked slots
             mixed = layer._stacked_w().T @ z.reshape(B, -1, T * N)
             assert np.array_equal(out, mixed.reshape(out.shape))
+
+    def test_training_forward_caches_only_the_input(self):
+        A, P = self.desk_or_coco("coco17")
+        layer = SpatialGraphConv(4, 6, A, P, np.random.default_rng(37))
+        x = np.random.default_rng(38).standard_normal((2, 4, 5, A.shape[1]))
+        layer.forward(x, training=True)
+        assert layer._cache == (x,) and layer._cache[0] is x
+
+    def test_shared_workspace_between_interleaved_layers(self):
+        """Forward a, forward b, backward b, backward a give the results of each layer run
+        alone; no returned array shares memory with the workspace or another result."""
+        rng = np.random.default_rng(39)
+        (A_coco, P), (A_chain, _) = self.desk_or_coco("coco17"), self.desk_or_coco("chain")
+        a = SpatialGraphConv(4, 6, A_coco, P, rng)  # per person, with hubs
+        b = SpatialGraphConv(8, 4, A_chain, A_chain.shape[1], rng)  # one dense block
+        assert a._hubs and not b._hubs
+        xa = rng.standard_normal((3, 4, 5, A_coco.shape[1]))
+        xb = rng.standard_normal((2, 8, 7, A_chain.shape[1]))
+        alone = [forward_backward(layer, x, rng) for layer, x in ((a, xa), (b, xb))]
+        a.zero_grad()
+        b.zero_grad()
+        out_a, out_b = a.forward(xa, training=True), b.forward(xb, training=True)
+        gx_b, gx_a = b.backward(alone[1][1]), a.backward(alone[0][1])
+        for layer, out, gx, (out0, _, gx0, grads0) in zip((a, b), (out_a, out_b), (gx_a, gx_b), alone):
+            assert np.array_equal(out, out0) and np.array_equal(gx, gx0)
+            for name, grad in layer.named_grads():
+                assert np.array_equal(grad, grads0[name]), name
+        results = [out_a, out_b, gx_a, gx_b]
+        for i, r in enumerate(results):
+            assert not any(np.shares_memory(r, buf) for buf in WORKSPACE._buffers.values())
+            assert not any(np.shares_memory(r, other) for other in results[i + 1 :])
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "per-person"])
     def test_self_partition_gradient_on_the_diagonal(self, dense):

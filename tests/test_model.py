@@ -1,4 +1,7 @@
 """Full-model tests: shapes, determinism, permutation symmetry, parameters."""
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +49,20 @@ class TestConfig:
     def test_single_class_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(2, 3, 0, 4, 1).validate()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"num_persons": 0}, "num_persons must be >= 1, got 0"),
+        ({"num_frames": -1}, "num_frames must be >= 1, got -1"),
+        ({"object_keypoints": -1}, "object_keypoints must be >= 0, got -1"),
+        ({"main_branch_channels": []}, "both branches need at least one block"),
+        ({"input_branch_channels": [16, -8, 8]}, "block output -8 not a positive multiple of 4"),
+        ({"input_branch_channels": [16, 0, 8]}, "block output 0 not a positive multiple of 4"),
+    ])
+    def test_sizes_must_be_positive(self, change, message):
+        """A size no model can be built with (a checkpoint's config may carry one)."""
+        cfg = dataclasses.replace(ModelConfig(2, 3, 0, 4, 5), **change)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cfg.validate()
 
 
 class TestForward:

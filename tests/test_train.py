@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panograph import data_io, gradcheck, train
 from panograph.errors import ConfigError, FormatError, InputError, TrainingError
@@ -368,9 +369,13 @@ class TestEvaluateAndCheckpoints:
             (CHAIN, {"num_classes": True}, "num_classes must be int, got True"),
             (CHAIN, {"main_branch_channels": [8, "8"]}, "main_branch_channels must be list[int]"),
             (CHAIN, {"input_branch_channels": 8}, "input_branch_channels must be list[int], got 8"),
+            (CHAIN, {"num_classes": 1}, "need at least two classes"),
+            (CHAIN, {"in_channels": 0}, "in_channels must be >= 1, got 0"),
+            (CHAIN, {"main_branch_channels": [32, -8, 32, 64, 64, 64]},
+             "block output -8 not a positive multiple of 4"),
         ],
         ids=["no_layout", "unknown_layout", "variant_int", "graph_list", "persons_str",
-             "classes_bool", "width_str", "plan_int"],
+             "classes_bool", "width_str", "plan_int", "one_class", "no_channels", "width_negative"],
     )
     def test_checkpoint_sidecar_types_checked(self, tmp_path, graph_info, change, named):
         self.trained(tmp_path, graph_info=graph_info)
@@ -404,6 +409,18 @@ class TestEvaluateAndCheckpoints:
         mutate(tensors)
         data_io.write_tensor_container(path, tensors)
         with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(named)):
+            train.load_checkpoint(path, A)
+
+    @pytest.mark.parametrize("name, value", [("param.branch0.block0.sgc.W0", np.nan),
+                                             ("buffer.main.block1.bn2.running_var", np.inf),
+                                             ("norm.bone.std", -np.inf)])
+    def test_checkpoint_refuses_non_finite_entries(self, tmp_path, name, value):
+        _, A, *_ = self.trained(tmp_path)
+        path = str(tmp_path / "ckpt_final.pgt")
+        tensors = data_io.read_tensor_container(path)
+        tensors[name].flat[1] = value
+        data_io.write_tensor_container(path, tensors)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: entry {name!r} is not finite")):
             train.load_checkpoint(path, A)
 
     def test_load_state_leaves_module_unchanged_on_mismatch(self):
@@ -464,3 +481,40 @@ class TestEvaluateAndCheckpoints:
         self.trained(tmp_path)
         lines = (tmp_path / "metrics.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """An untrained tiny checkpoint with graph info: its bytes, and the offsets of every
+    byte that is not a float payload (the container header, entry headers, config JSON)."""
+    cfg, A = tiny_setup()
+    path = str(tmp_path_factory.mktemp("fuzz") / "ckpt.pgt")
+    stats = {key: (np.zeros(2 * cfg.in_channels), np.ones(2 * cfg.in_channels))
+             for key in STREAM_ORDER}
+    train.save_checkpoint(path, MPGCN(cfg, A, np.random.default_rng(0)), stats, CHAIN)
+    structure, off = list(range(8)), 8
+    for name, arr in data_io.read_tensor_container(path).items():
+        head = 4 + len(name.encode()) + 4 * arr.ndim
+        structure += range(off, off + head + (arr.nbytes if name == "config" else 0))
+        off += head + arr.nbytes
+    return open(path, "rb").read(), structure
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_checkpoint_byte_mutation_raises_only_format_error(tiny_checkpoint, data):
+    """One byte overwritten, in the structure or anywhere: ``load_checkpoint`` returns a
+    model or raises FormatError (one byte can turn a width into at most 3 digits)."""
+    import tempfile
+
+    raw, structure = tiny_checkpoint
+    pos = data.draw(st.one_of(st.sampled_from(structure), st.integers(0, len(raw) - 1)))
+    mutated = bytearray(raw)
+    mutated[pos] = data.draw(st.integers(0, 255).filter(lambda v: v != raw[pos]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/ckpt.pgt"
+        open(path, "wb").write(bytes(mutated))
+        try:
+            train.load_checkpoint(path)
+        except FormatError:
+            pass
