@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,15 +18,6 @@ from .reassign import assemble_sequence, parse_jsonl
 
 GRADCHECK_TOL = 1e-4
 GRAPH_KEYS = ("layout", "num_persons", "num_joints", "num_objects")  # manifest keys of the graph
-
-
-def _worker_count() -> int:
-    cap = os.environ.get("PANOGRAPH_THREADS")
-    if not cap:
-        return min(os.cpu_count() or 1, 8)
-    if not cap.isdecimal() or int(cap) < 1:
-        raise ConfigError(f"PANOGRAPH_THREADS must be a positive integer, got {cap!r}")
-    return int(cap)
 
 
 def cmd_synth(args) -> int:
@@ -120,7 +110,7 @@ def cmd_features(args) -> int:
     feat_dir = os.path.join(args.data, "features")
     os.makedirs(feat_dir, exist_ok=True)
 
-    def process(entry):
+    for entry in manifest["samples"]:
         tensors = data_io.read_tensor_container(
             os.path.join(args.data, "tensors", entry["id"] + ".pgt")
         )
@@ -131,9 +121,6 @@ def cmd_features(args) -> int:
         data_io.write_tensor_container(
             os.path.join(feat_dir, entry["id"] + ".pgt"), bundle.streams()
         )
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        list(pool.map(process, manifest["samples"]))
     print(f"cached features for {len(manifest['samples'])} samples (C={args.dims})")
     return 0
 

@@ -85,15 +85,15 @@ def joint_stream(x: np.ndarray, center_joints: tuple[int, ...]) -> np.ndarray:
     return np.concatenate([_flatten(x), _flatten(rel)], axis=-1)
 
 
-def bone_stream(x: np.ndarray, topology: GraphTopology) -> np.ndarray:
-    """Concatenate bone vectors with their angles to the coordinate axes.
+def bone_stream(x: np.ndarray, bones: np.ndarray) -> np.ndarray:
+    """Concatenate the bone vectors of ``x`` (from ``bone_vectors``) with their
+    angles to the coordinate axes.
 
     Angles are arccos(b_c / ||b||) over the x,y components; a zero-length
     bone gets pi/2. With C=3 the visibility value is carried through as the
     third angle channel.
     """
-    bones = bone_vectors(x, topology)
-    T, M, Np, C = x.shape
+    C = x.shape[-1]
     norm = np.sqrt((bones[..., :2] ** 2).sum(axis=-1, keepdims=True))
     # zero-length bones leave ratio at 0, so arccos gives the pi/2 convention
     ratio = np.divide(bones[..., :2], norm, out=np.zeros_like(bones[..., :2]), where=norm > 0)
@@ -126,21 +126,19 @@ def _temporal_diffs(x: np.ndarray) -> np.ndarray:
     return np.concatenate([one, two], axis=-1)
 
 
-def joint_motion_stream(x: np.ndarray) -> np.ndarray:
+def motion_stream(x: np.ndarray) -> np.ndarray:
+    """One- and two-hop motion of joints, or of bone vectors, flattened to (T, M*N', 2C)."""
     return _flatten(_temporal_diffs(x))
-
-
-def bone_motion_stream(x: np.ndarray, topology: GraphTopology) -> np.ndarray:
-    return _flatten(_temporal_diffs(bone_vectors(x, topology)))
 
 
 def build_feature_bundle(x: np.ndarray, topology: GraphTopology) -> FeatureBundle:
     """All four input streams for one sample tensor (T, M, N', C)."""
     if x.ndim != 4:
         raise ContractError(f"expected rank-4 skeleton tensor, got shape {x.shape}")
+    bones = bone_vectors(x, topology)
     return FeatureBundle(
         joint=joint_stream(x, topology.center_joints),
-        bone=bone_stream(x, topology),
-        joint_motion=joint_motion_stream(x),
-        bone_motion=bone_motion_stream(x, topology),
+        bone=bone_stream(x, bones),
+        joint_motion=motion_stream(x),
+        bone_motion=motion_stream(bones),
     )

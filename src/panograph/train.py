@@ -148,10 +148,12 @@ def train_loop(
     """Train from scratch; returns (model, norm stats, per-epoch records).
 
     Checkpoints (when ``out_dir`` is set) are written at the best validation
-    MCA and at the end.
+    MCA and at the end, each with ``graph_info``.
     """
     train_cfg.validate()
     model_cfg.validate()
+    if out_dir and graph_info is None:
+        raise ConfigError("out_dir needs graph_info: a checkpoint is loaded from its own graph")
     if len(ds) == 0:
         raise InputError("empty dataset")
     if ds.labels.max() >= model_cfg.num_classes:
@@ -278,12 +280,10 @@ def evaluate(
     return result
 
 
-def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict | None = None) -> None:
+def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict) -> None:
     """One PGT1 file: the config JSON (ModelConfig fields, plus ``graph``) as the
     uint8 entry ``config``, then parameters, buffers and normalisation stats."""
-    config = dataclasses.asdict(model.config)
-    if graph_info:
-        config["graph"] = graph_info
+    config = {**dataclasses.asdict(model.config), "graph": graph_info}
     tensors = {"config": np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)}
     for name, p in model.named_parameters():
         tensors["param." + name] = p
@@ -302,8 +302,8 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
-def _read_config(path: str, tensors: dict) -> tuple[dict, dict | None]:
-    """Pop and check the ``config`` entry: ModelConfig fields and the optional graph info."""
+def _read_config(path: str, tensors: dict) -> tuple[dict, dict]:
+    """Pop and check the ``config`` entry: ModelConfig fields and the graph info."""
     if "config" not in tensors:
         raise FormatError(f"{path}: no config entry (a config in a separate .json file is not read)")
     try:
@@ -320,7 +320,7 @@ def _read_config(path: str, tensors: dict) -> tuple[dict, dict | None]:
         if not _has_type(value, hint):
             label = str(hint) if typing.get_origin(hint) else hint.__name__
             raise FormatError(f"{path}: config: {name} must be {label}, got {value!r}")
-    if info is not None and not (
+    if not (
         isinstance(info, dict) and set(info) <= {"layout", "inter_variant"}
         and isinstance(info.get("layout"), str) and isinstance(info.get("inter_variant", ""), str)
     ):
@@ -329,7 +329,7 @@ def _read_config(path: str, tensors: dict) -> tuple[dict, dict | None]:
     return fields, info
 
 
-def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPGCN, dict]:
+def load_checkpoint(path: str) -> tuple[MPGCN, dict]:
     """Rebuild a saved model and its normalisation stats; errors name the file."""
     tensors = data_io.read_tensor_container(path)
     fields, info = _read_config(path, tensors)
@@ -337,17 +337,13 @@ def load_checkpoint(path: str, adjacency: np.ndarray | None = None) -> tuple[MPG
         if not np.isfinite(value).all():
             raise FormatError(f"{path}: entry {name!r} is not finite")
     cfg = ModelConfig(**fields)
-    if adjacency is None:
-        if info is None:
-            raise InputError(f"{path}: checkpoint carries no graph info; pass an adjacency")
-        try:
-            topo = graph.build_topology(info["layout"], cfg.num_persons, cfg.joints_per_person,
-                                        cfg.object_keypoints, info.get("inter_variant", "pairwise"))
-        except ConfigError as exc:
-            raise FormatError(f"{path}: config: graph: {exc}") from exc
-        adjacency = graph.partition_and_normalize(topo).A_hat
     try:
-        model = MPGCN(cfg, adjacency, np.random.default_rng(0))
+        topo = graph.build_topology(info["layout"], cfg.num_persons, cfg.joints_per_person,
+                                    cfg.object_keypoints, info.get("inter_variant", "pairwise"))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: config: graph: {exc}") from exc
+    try:
+        model = MPGCN(cfg, graph.partition_and_normalize(topo).A_hat, np.random.default_rng(0))
     except ConfigError as exc:
         raise FormatError(f"{path}: config: {exc}") from exc
     params = {k[len("param."):]: v for k, v in tensors.items() if k.startswith("param.")}

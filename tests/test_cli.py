@@ -7,8 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from panograph import cli, data_io, train
-from panograph.errors import ConfigError
+from panograph import cli, data_io, features, graph, train
 
 
 TRAIN_CONFIG = """\
@@ -169,17 +168,26 @@ class TestFeatures:
         for s in streams.values():
             assert s.shape == (8, 8, 6)
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("PANOGRAPH_THREADS", "2")
-        assert cli._worker_count() == 2
-        monkeypatch.setenv("PANOGRAPH_THREADS", "")
-        assert cli._worker_count() >= 1
-
-    @pytest.mark.parametrize("value", ["abc", "zero", "0", "-2", "1.5"])
-    def test_thread_cap_must_be_positive_integer(self, monkeypatch, value):
-        monkeypatch.setenv("PANOGRAPH_THREADS", value)
-        with pytest.raises(ConfigError, match="PANOGRAPH_THREADS"):
-            cli._worker_count()
+    @pytest.mark.parametrize("dims", [3, 2])
+    def test_writes_the_library_streams(self, tmp_path, dims):
+        data = str(tmp_path / "data")
+        assert cli.main(["synth", "--classes", "2", "--per-class", "2", "--persons", "2",
+                         "--joints", "3", "--objects", "1", "--frames", "6", "--seed", "2",
+                         "--out", data]) == 0
+        assert cli.main(["reassign", "--data", data]) == 0
+        assert cli.main(["features", "--data", data, "--dims", str(dims)]) == 0
+        topo = graph.build_topology("chain", 2, 3, 1)
+        samples = data_io.load_manifest(data)["samples"]
+        assert sorted(os.listdir(os.path.join(data, "features"))) == sorted(
+            e["id"] + ".pgt" for e in samples)
+        for entry in samples:
+            x = data_io.read_tensor_container(os.path.join(data, "tensors", entry["id"] + ".pgt"))
+            want = features.build_feature_bundle(x["skeleton"][..., :dims], topo).streams()
+            got = data_io.read_tensor_container(os.path.join(data, "features", entry["id"] + ".pgt"))
+            assert list(got) == list(want)
+            for key, stream in want.items():
+                assert stream.shape[-1] == 2 * dims
+                assert np.array_equal(got[key], stream)
 
 
 class TestTrain:

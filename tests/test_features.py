@@ -86,7 +86,7 @@ class TestBoneStream:
         x = np.zeros((1, 1, 2, 3))
         x[0, 0, 1, :2] = vec
         x[..., 2] = 1.0
-        out = features.bone_stream(x, t)
+        out = features.bone_stream(x, features.bone_vectors(x, t))
         return out[0, 1, 3:5]
 
     def test_axis_aligned_bone(self):
@@ -101,14 +101,14 @@ class TestBoneStream:
     def test_angle_range(self, topo):
         rng = np.random.default_rng(4)
         x = random_skeleton(rng, 5, 2, 5)
-        out = features.bone_stream(x, topo)
+        out = features.bone_stream(x, features.bone_vectors(x, topo))
         angles = out[..., 3:5]
         assert np.all(angles >= 0) and np.all(angles <= np.pi)
 
     def test_visibility_passthrough(self, topo):
         rng = np.random.default_rng(5)
         x = random_skeleton(rng, 3, 2, 5)
-        out = features.bone_stream(x, topo)
+        out = features.bone_stream(x, features.bone_vectors(x, topo))
         assert np.array_equal(out[..., 5], x.reshape(3, 10, 3)[..., 2])
 
     def test_translation_invariance(self, topo):
@@ -117,7 +117,9 @@ class TestBoneStream:
         shifted = x.copy()
         shifted[..., :2] += (7.0, -3.0)
         assert np.allclose(
-            features.bone_stream(x, topo), features.bone_stream(shifted, topo), atol=1e-9
+            features.bone_stream(x, features.bone_vectors(x, topo)),
+            features.bone_stream(shifted, features.bone_vectors(shifted, topo)),
+            atol=1e-9,
         )
 
     def test_recomposition_reaches_root(self, topo):
@@ -138,14 +140,14 @@ class TestBoneStream:
 class TestMotionStreams:
     def test_static_sequence_is_zero(self, topo):
         x = np.ones((6, 2, 5, 3))
-        assert np.all(features.joint_motion_stream(x) == 0)
-        assert np.all(features.bone_motion_stream(x, topo) == 0)
+        assert np.all(features.motion_stream(x) == 0)
+        assert np.all(features.motion_stream(features.bone_vectors(x, topo)) == 0)
 
     def test_linear_motion_values(self):
         T = 5
         x = np.zeros((T, 1, 1, 2))
         x[:, 0, 0, 0] = np.arange(T, dtype=float)
-        out = features.joint_motion_stream(x)  # (T, 1, 4)
+        out = features.motion_stream(x)  # (T, 1, 4)
         assert np.all(out[:-1, 0, 0] == 1.0)  # one-hop
         assert np.all(out[:-2, 0, 2] == 2.0)  # two-hop
         assert np.all(out[-1, 0, :2] == 0.0)
@@ -153,21 +155,21 @@ class TestMotionStreams:
 
     def test_single_frame_all_padded(self):
         x = np.ones((1, 1, 2, 3))
-        assert np.all(features.joint_motion_stream(x) == 0)
+        assert np.all(features.motion_stream(x) == 0)
 
     def test_rotating_bone_motion(self):
         t = graph.build_topology("chain", 1, 2)
         x = np.zeros((2, 1, 2, 2))
         x[0, 0, 1] = (1.0, 0.0)
         x[1, 0, 1] = (0.0, 1.0)
-        out = features.bone_motion_stream(x, t)
+        out = features.motion_stream(features.bone_vectors(x, t))
         assert out[0, 1, :2] == pytest.approx([-1.0, 1.0])
 
     def test_rigid_translation_bone_motion_zero(self, topo):
         rng = np.random.default_rng(8)
         pose = random_skeleton(rng, 1, 2, 5)[0]
         x = np.stack([pose + t * np.array([3.0, 1.0, 0.0]) for t in range(4)])
-        assert np.allclose(features.bone_motion_stream(x, topo), 0.0, atol=1e-9)
+        assert np.allclose(features.motion_stream(features.bone_vectors(x, topo)), 0.0, atol=1e-9)
 
 
 class TestBundle:

@@ -274,12 +274,22 @@ class TestTrainLoop:
         with pytest.raises(InputError):
             train.train_loop(ds, cfg, self.make_cfg(), A)
 
+    def test_out_dir_needs_graph_info(self, tmp_path):
+        """Refused before the first epoch: a checkpoint without its graph cannot be loaded."""
+        cfg, A = tiny_setup()
+        ds = tiny_dataset(cfg, 8, np.random.default_rng(8))
+        records = []
+        with pytest.raises(ConfigError, match="graph_info"):
+            train.train_loop(ds, cfg, self.make_cfg(), A, out_dir=str(tmp_path),
+                             log_fn=records.append, graph_info=None)
+        assert records == [] and list(tmp_path.iterdir()) == []
+
 
 CHAIN = {"layout": "chain", "inter_variant": "pairwise"}
 
 
 class TestEvaluateAndCheckpoints:
-    def trained(self, tmp_path, graph_info=None):
+    def trained(self, tmp_path, graph_info=CHAIN):
         cfg, A = tiny_setup()
         ds = tiny_dataset(cfg, 8, np.random.default_rng(8))
         model, stats, _ = train.train_loop(
@@ -317,17 +327,22 @@ class TestEvaluateAndCheckpoints:
             train.evaluate(ds, [(model, stats), (model, stats)], fuse=False)
 
     def test_checkpoint_roundtrip_exact_logits(self, tmp_path):
-        cfg, A, ds, model, stats = self.trained(tmp_path)
-        loaded, loaded_stats = train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"), A)
+        _, _, ds, model, stats = self.trained(tmp_path)
+        loaded, loaded_stats = train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"))
         batch = train.stack_batch(ds, [0, 1], stats)
         assert np.array_equal(model.forward(batch), loaded.forward(batch))
         for key in STREAM_ORDER:
             assert np.array_equal(stats[key][0], loaded_stats[key][0])
 
-    def test_checkpoint_without_graph_info_needs_adjacency(self, tmp_path):
+    def test_checkpoint_without_graph_info_refused(self, tmp_path):
         self.trained(tmp_path)
-        with pytest.raises(InputError):
-            train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"))
+        path = str(tmp_path / "ckpt_final.pgt")
+        config = json.loads(read_config(path))
+        del config["graph"]
+        write_config(path, json.dumps(config))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: config: graph must be an object")
+                           + ".*got None"):
+            train.load_checkpoint(path)
 
     def test_checkpoint_with_graph_info_self_contained(self, tmp_path):
         info = {"layout": "chain", "inter_variant": "pairwise"}
@@ -345,10 +360,10 @@ class TestEvaluateAndCheckpoints:
         ],
     )
     def test_checkpoint_sidecar_keys_must_match_config(self, tmp_path, change, named):
-        cfg, A, *_ = self.trained(tmp_path)
+        cfg, *_ = self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
         config = json.loads(read_config(path))
-        assert config == dataclasses.asdict(cfg)
+        assert config == {**dataclasses.asdict(cfg), "graph": CHAIN}
         for key, value in change.items():
             if value is None:
                 del config[key]
@@ -356,7 +371,7 @@ class TestEvaluateAndCheckpoints:
                 config[key] = value
         write_config(path, json.dumps(config))
         with pytest.raises(FormatError, match=re.escape(f"{path}: config keys") + ".*" + re.escape(named)):
-            train.load_checkpoint(path, A)
+            train.load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "graph_info, change, named",
@@ -364,7 +379,7 @@ class TestEvaluateAndCheckpoints:
             ({"inter_variant": "pairwise"}, {}, "graph must be an object with a string layout"),
             ({"layout": "ring"}, {}, "graph: unknown skeleton layout 'ring'"),
             ({"layout": "chain", "inter_variant": 2}, {}, "graph must be an object"),
-            (None, {"graph": ["chain"]}, "graph must be an object"),
+            (CHAIN, {"graph": ["chain"]}, "graph must be an object"),
             (CHAIN, {"num_persons": "2"}, "num_persons must be int, got '2'"),
             (CHAIN, {"num_classes": True}, "num_classes must be int, got True"),
             (CHAIN, {"main_branch_channels": [8, "8"]}, "main_branch_channels must be list[int]"),
@@ -403,25 +418,25 @@ class TestEvaluateAndCheckpoints:
         ids=["missing_param", "wrong_shape", "unknown_param", "missing_buffer", "missing_norm", "unknown_entry"],
     )
     def test_checkpoint_tensors_must_match_model(self, tmp_path, mutate, named):
-        _, A, *_ = self.trained(tmp_path)
+        self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
         tensors = data_io.read_tensor_container(path)
         mutate(tensors)
         data_io.write_tensor_container(path, tensors)
         with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(named)):
-            train.load_checkpoint(path, A)
+            train.load_checkpoint(path)
 
     @pytest.mark.parametrize("name, value", [("param.branch0.block0.sgc.W0", np.nan),
                                              ("buffer.main.block1.bn2.running_var", np.inf),
                                              ("norm.bone.std", -np.inf)])
     def test_checkpoint_refuses_non_finite_entries(self, tmp_path, name, value):
-        _, A, *_ = self.trained(tmp_path)
+        self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
         tensors = data_io.read_tensor_container(path)
         tensors[name].flat[1] = value
         data_io.write_tensor_container(path, tensors)
         with pytest.raises(FormatError, match=re.escape(f"{path}: entry {name!r} is not finite")):
-            train.load_checkpoint(path, A)
+            train.load_checkpoint(path)
 
     def test_load_state_leaves_module_unchanged_on_mismatch(self):
         cfg, A = tiny_setup()
@@ -437,17 +452,17 @@ class TestEvaluateAndCheckpoints:
     def test_checkpoint_config_missing_or_truncated(self, tmp_path):
         """A truncated config entry is malformed; a container without one (as written
         before the config moved into the checkpoint) is refused by name."""
-        _, A, *_ = self.trained(tmp_path)
+        self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_best.pgt", "ckpt_final.pgt",
                                                               "metrics.jsonl"]
         text = read_config(path)
         write_config(path, text[: len(text) // 2])
         with pytest.raises(FormatError, match=re.escape(f"{path}: config: malformed")):
-            train.load_checkpoint(path, A)
+            train.load_checkpoint(path)
         write_config(path, None)
         with pytest.raises(FormatError, match=re.escape(f"{path}: no config entry")):
-            train.load_checkpoint(path, A)
+            train.load_checkpoint(path)
 
     def test_failed_sidecar_write_keeps_previous(self, tmp_path, monkeypatch):
         """A checkpoint write that fails part way leaves the old file and no temp file."""
@@ -466,16 +481,16 @@ class TestEvaluateAndCheckpoints:
 
         monkeypatch.setattr(data_io, "write_atomic", broken_write)
         with pytest.raises(OSError, match="disk full"):
-            train.save_checkpoint(path, model, stats)
+            train.save_checkpoint(path, model, stats, CHAIN)
         assert (tmp_path / "ckpt_final.pgt").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
     def test_checkpoint_container_missing(self, tmp_path):
-        _, A, *_ = self.trained(tmp_path)
+        self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
         (tmp_path / "ckpt_final.pgt").unlink()
         with pytest.raises(InputError, match=re.escape(f"{path}: cannot read")):
-            train.load_checkpoint(path, A)
+            train.load_checkpoint(path)
 
     def test_metrics_log_written(self, tmp_path):
         self.trained(tmp_path)
