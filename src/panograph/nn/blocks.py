@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .core import Module, kaiming_uniform
+from .core import WORKSPACE, Module, kaiming_uniform
 from .layers import (
     BatchNorm,
     Conv1x1,
@@ -90,12 +90,14 @@ class MultiScaleTCN(Module):
         return np.concatenate(outs + [y[:, 3 * bc :, :: self.stride]], axis=1)
 
     def backward(self, grad_out):
-        x, bc = self._saved(), self.branch_channels
+        x, bc, s = self._saved(), self.branch_channels, self.stride
         B, C, T, N = x.shape
-        gy = np.zeros((B, 4 * bc, T, N), dtype=grad_out.dtype)
+        gy = WORKSPACE.get("grad", (B, 4 * bc, T, N))  # stale: every entry is written below
         for i, b in enumerate(self.branches):
             gy[:, i * bc : (i + 1) * bc] = b.backward(grad_out[:, i * bc : (i + 1) * bc])
-        gy[:, 3 * bc :, :: self.stride] = grad_out[:, 3 * bc :]
+        gy[:, 3 * bc :, ::s] = grad_out[:, 3 * bc :]
+        for skipped in range(1, s):  # frames the strided plain branch does not read
+            gy[:, 3 * bc :, skipped::s] = 0.0
         g2 = gy.reshape(B, -1, T * N)
         self._grads["w"] += np.matmul(g2, x.reshape(B, C, T * N).transpose(0, 2, 1)).sum(axis=0)
         return (self.w.T @ g2).reshape(B, C, T, N)
@@ -113,7 +115,8 @@ class BasicBlock(Module):
     y3 = y2 + y2 * att. Residual projections are 1x1 whenever channels or
     frame count change; the TCN stage's residual reads every stride-th frame
     of y1. The SGC is dense up to DENSE_SGC_MAX_NODES nodes and per-person
-    above.
+    above. A training forward keeps x, not y1 or y2: backward rebuilds them from x
+    and the BNs' x_hat by the forward's own operations, in the shared workspace.
     """
 
     def __init__(
@@ -152,14 +155,33 @@ class BasicBlock(Module):
         y2 = self.relu2.forward(t, training)
         out = self.att.forward(y2, training)
         out += y2
+        self._cache = x if training else None
+        if training:
+            self._drop_y()
         return out
 
+    def _drop_y(self):
+        """tcn, att and res2 forget their input, y1 or y2; backward hands it back."""
+        for child in filter(None, (self.tcn, self.att, self.res2)):
+            child.hold_input(None)
+
+    def _rebuild(self, name, bn, res, x):
+        """relu(bn's output + res(x)) as the forward made it, in the workspace; res re-caches x."""
+        y = bn.affine(WORKSPACE.get(name, (len(x), bn.gamma.size, *x.shape[2:])))
+        y += x if res is None else res.forward(x, training=True)
+        return np.maximum(y, 0.0, out=y)
+
     def backward(self, grad_out):
+        y1 = self._rebuild("block.y1", self.bn1, self.res1, self._saved())
+        y2 = self._rebuild("block.y2", self.bn2, self.res2, y1[:, :, :: self.stride])
+        self.tcn.hold_input(y1)
+        self.att.hold_input(y2)
         gy2 = self.att.backward(grad_out)
         gy2 += grad_out
         gpre2 = self.relu2.backward(gy2)
         gy1 = self.tcn.backward(self.bn2.backward(gpre2))
         gy1[:, :, :: self.stride] += gpre2 if self.res2 is None else self.res2.backward(gpre2)
+        self._drop_y()
         gpre1 = self.relu1.backward(gy1)
         gx = self.sgc.backward(self.bn1.backward(gpre1))
         gx += gpre1 if self.res1 is None else self.res1.backward(gpre1)

@@ -89,6 +89,11 @@ class Module:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def hold_input(self, x) -> None:
+        """Put back the input a training forward cached, or drop it (None): for a block
+        that rebuilds it. The rest of the cache stays."""
+        self._cache = x
+
     def _saved(self):
         """``_cache`` for backward; ContractError if the last forward was eval."""
         if self._cache is None:
@@ -100,10 +105,11 @@ class Workspace:
     """Scratch arrays that never leave a call, one flat float64 buffer per name.
 
     ``get(name, shape)`` returns a view of the buffer's first prod(shape)
-    entries, growing it to the largest request. Reuse is the point: a freed
-    buffer of many megabytes goes back to the OS, and a fresh one faults its
-    pages in again. Contents are stale, views alive together need distinct
-    names, and the layers share one instance from one thread at a time.
+    entries, grown to the largest request: a freed buffer of many megabytes
+    goes back to the OS, and a fresh one faults its pages in again. Contents
+    are stale. Views alive together need distinct names; uses that never
+    overlap share one ("grad", the SGC's and the TCN's backward scratch).
+    The layers share one instance from one thread at a time.
     """
 
     def __init__(self):

@@ -37,6 +37,9 @@ class Conv1x1(Module):
         B, C, T, N = x.shape
         return (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
 
+    def hold_input(self, x):
+        self._cache = None if x is None else (x,)
+
     def backward(self, grad_out):
         (x,) = self._saved()
         B, O, T, N = grad_out.shape
@@ -198,9 +201,12 @@ class BatchNorm(Module):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std[:, None, None]
         self._cache = (xhat, inv_std)
-        y = xhat * self.gamma[:, None, None]
-        y += self.beta[:, None, None]
-        return y
+        return self.affine()
+
+    def affine(self, out=None):
+        """The training output x_hat * gamma + beta from the cached x_hat, into ``out``."""
+        y = np.multiply(self._saved()[0], self.gamma[:, None, None], out=out)
+        return np.add(y, self.beta[:, None, None], out=y)
 
     def backward(self, grad_out):
         cached, inv_std = self._saved()
@@ -323,7 +329,7 @@ class SpatialGraphConv(Module):
         z = self._stack(x)
         L = z.shape[1]
         dw = np.matmul(z.reshape(B, L * C, T * N), g2.transpose(0, 2, 1)).sum(axis=0)
-        gz = WORKSPACE.get("sgc.gz", z.shape)
+        gz = WORKSPACE.get("grad", z.shape)
         np.matmul(self._stacked_w(), g2, out=gz.reshape(B, L * C, T * N))
         x4 = self._by_person(x)
         gx, step = np.empty(x.shape), WORKSPACE.get("sgc.step", x.shape)
@@ -414,6 +420,10 @@ class STPAttention(Module):
         self._cache = (x.reshape(B, C, T, M, Np), z, h, person_score, frame_score, att, mask
                        ) if training else None
         return out
+
+    def hold_input(self, x):
+        x5 = None if x is None else x.reshape(*x.shape[:3], self.M, self.Np)
+        self._cache = (x5,) + self._saved()[1:]
 
     def backward(self, grad_out):
         x5, z, h, ps, fs, att, mask = self._saved()

@@ -54,7 +54,8 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 class SGDNesterov:
     """v <- mu*v + g;  p <- p - lr*(g + mu*v), with g = grad + wd*p.
 
-    Batch-norm gamma/beta are excluded from weight decay.
+    Batch-norm gamma/beta are excluded from weight decay. A non-finite
+    gradient anywhere raises TrainingError before any tensor moves.
     """
 
     def __init__(self, model: MPGCN, cfg: TrainConfig):
@@ -67,11 +68,12 @@ class SGDNesterov:
 
     def step(self, model: MPGCN, lr: float) -> None:
         grads = dict(model.named_grads())
+        bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+        if bad:
+            raise TrainingError(f"non-finite gradient in {', '.join(bad)}")
         mu = self.cfg.momentum
         for name, p in model.named_parameters():
             g = grads[name]
-            if not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient in {name}")
             if self.cfg.weight_decay and self._decayed(name):
                 g = g + self.cfg.weight_decay * p
             v = self.velocity[name]

@@ -705,6 +705,52 @@ class TestBasicBlock:
         errs = gradcheck.check_layer(block, x, rng, max_entries=4)
         assert max(errs.values()) < 1e-4
 
+    @staticmethod
+    def strided_block(seed):
+        """A stride-2 block with both residual projections, trained forward on random x."""
+        rng = np.random.default_rng(seed)
+        block = BasicBlock(4, 8, gradcheck.tiny_adjacency(2, 3), 2, 3, rng, stride=2)
+        x = rng.standard_normal((2, 4, 6, 6))
+        return block, x, block.forward(x, training=True), rng
+
+    def test_training_forward_keeps_no_y1_or_y2(self):
+        """tcn, att and res2 hold no input, while every freeze state and x stay."""
+        block, x, *_ = self.strided_block(40)
+        assert block._cache is x
+        assert block.tcn._cache is None and block.res2._cache is None
+        assert block.att._cache[0] is None and block.att._cache[-1].dtype == bool
+        assert block.relu1._cache.dtype == bool and block.relu2._cache.dtype == bool
+        assert all(b.relu._cache.dtype == bool for b in block.tcn.branches)
+        assert block.tcn.branches[2].pool._cache[0].dtype == np.int8
+
+    def test_backward_drops_y1_and_y2_again(self):
+        block, _, out, rng = self.strided_block(41)
+        block.backward(rng.standard_normal(out.shape))
+        assert block.tcn._cache is None and block.res2._cache is None
+        assert block.att._cache[0] is None
+
+    def test_frozen_forward_after_backward(self):
+        """forward -> backward -> freeze_kinks -> frozen forward, the desk FD path."""
+        block, x, out, rng = self.strided_block(42)
+        block.backward(rng.standard_normal(out.shape))
+        gradcheck.freeze_kinks(block)
+        try:
+            assert np.array_equal(block.forward(x, training=True), out)
+        finally:
+            gradcheck.freeze_kinks(block, False)
+
+    def test_two_backwards_give_equal_gradients(self):
+        block, _, out, rng = self.strided_block(43)
+        g = rng.standard_normal(out.shape)
+        runs = []
+        for _ in range(2):
+            block.zero_grad()
+            gx = block.backward(g)
+            runs.append((gx, {k: v.copy() for k, v in block.named_grads()}))
+        (gx0, g0), (gx1, g1) = runs
+        assert np.array_equal(gx0, gx1)
+        assert all(np.array_equal(g0[k], g1[k]) for k in g0)
+
 
 class TestReLU:
     def test_forward_backward(self):

@@ -1,4 +1,5 @@
 """Full-model tests: shapes, determinism, permutation symmetry, parameters."""
+import collections
 import dataclasses
 import re
 
@@ -171,6 +172,36 @@ def all_modules(module):
         yield from all_modules(child)
 
 
+def cached_nbytes(module):
+    """Bytes of backward cache per layer class, under ``module``.
+
+    Every distinct base array in a ``_cache`` (nested in tuples too) counts
+    once, for the first module that holds it, children before their parent.
+    The total is the sum of the values.
+    """
+    seen, per_class = set(), collections.Counter()
+
+    def bases(value):
+        if isinstance(value, tuple):
+            for v in value:
+                yield from bases(v)
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            yield value
+
+    def walk(m):
+        for _, child in m._children:
+            walk(child)
+        for a in bases(m._cache):
+            if id(a) not in seen:
+                seen.add(id(a))
+                per_class[type(m).__name__] += a.nbytes
+
+    walk(module)
+    return per_class
+
+
 class TestForwardOnlyEval:
     def test_eval_keeps_no_backward_state(self):
         model, cfg, _ = tiny_model()
@@ -186,14 +217,27 @@ class TestForwardOnlyEval:
 
     def test_every_parameter_owner_runs(self):
         """No module owns a parameter its forward leaves unused: after one training
-        forward of a desk model, every module that owns one holds a backward cache."""
+        step of a desk model, every parameter tensor has a non-zero gradient."""
         cfg = ModelConfig(3, 5, 1, 16, 8).scaled(4)
         A = graph.partition_and_normalize(graph.build_topology("chain", 3, 5, 1)).A_hat
         model = MPGCN(cfg, A, np.random.default_rng(0))
-        model.forward(random_streams(np.random.default_rng(23), cfg, 2), training=True)
-        owners = [m for m in all_modules(model) if m._params]
-        assert len(owners) > 100
-        assert all(m._cache is not None for m in owners)
+        logits = model.forward(random_streams(np.random.default_rng(23), cfg, 2), training=True)
+        model.zero_grad()
+        model.backward(cross_entropy(logits, np.array([1, 6]))[1])
+        assert sum(1 for m in all_modules(model) if m._params) > 100
+        assert [name for name, g in model.named_grads() if not g.any()] == []
+
+    def test_desk_training_cache_budget(self):
+        """y1 and y2 of every block live only while it runs: one training forward at
+        the desk shape keeps at least 20 % less than the 103454336 bytes that caching
+        them took (76322432 after)."""
+        cfg = ModelConfig(3, 5, 1, 16, 8).scaled(4)
+        A = graph.partition_and_normalize(graph.build_topology("chain", 3, 5, 1)).A_hat
+        model = MPGCN(cfg, A, np.random.default_rng(0))
+        model.forward(random_streams(np.random.default_rng(24), cfg, 16), training=True)
+        cached = cached_nbytes(model)
+        assert sum(cached.values()) <= 0.8 * 103454336
+        assert cached["MultiScaleTCN"] == 0
 
     def test_eval_between_training_steps_changes_no_gradient(self):
         """train -> eval -> train -> backward gives the gradients of train -> backward."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from panograph import data_io, gradcheck, train
+from panograph import data_io, gradcheck, graph, train
 from panograph.errors import ConfigError, FormatError, InputError, TrainingError
 from panograph.nn import MPGCN, cross_entropy
 from panograph.nn.core import Module
@@ -145,6 +145,27 @@ class TestOptimizer:
         model.set_grad(np.nan)
         with pytest.raises(TrainingError, match="w"):
             opt.step(model, lr=0.1)
+
+    def test_non_finite_gradients_move_no_tensor(self):
+        """NaN in two tensors: one error names both, and no parameter or velocity moves."""
+        cfg, A = tiny_setup()
+        model = MPGCN(cfg, A, np.random.default_rng(0))
+        opt = train.SGDNesterov(model, train.TrainConfig())
+        grads = dict(model.named_grads())
+        for g in grads.values():
+            g[...] = 1.0
+        opt.step(model, lr=0.1)  # a non-zero velocity
+        names = list(grads)
+        poisoned = [names[-3], names[-1]]
+        for name in poisoned:
+            grads[name].reshape(-1)[0] = np.nan
+        before = {k: p.copy() for k, p in model.named_parameters()}
+        velocity = {k: v.copy() for k, v in opt.velocity.items()}
+        with pytest.raises(TrainingError) as err:
+            opt.step(model, lr=0.1)
+        assert str(err.value) == f"non-finite gradient in {poisoned[0]}, {poisoned[1]}"
+        assert all(np.array_equal(p, before[k]) for k, p in model.named_parameters())
+        assert all(np.array_equal(v, velocity[k]) for k, v in opt.velocity.items())
 
     def test_batchnorm_params_skip_weight_decay(self):
         cfg, A = tiny_setup()
@@ -289,8 +310,9 @@ CHAIN = {"layout": "chain", "inter_variant": "pairwise"}
 
 
 class TestEvaluateAndCheckpoints:
-    def trained(self, tmp_path, graph_info=CHAIN):
-        cfg, A = tiny_setup()
+    def trained(self, tmp_path, graph_info=CHAIN, A=None):
+        cfg, chain = tiny_setup()
+        A = chain if A is None else A
         ds = tiny_dataset(cfg, 8, np.random.default_rng(8))
         model, stats, _ = train.train_loop(
             ds,
@@ -345,10 +367,17 @@ class TestEvaluateAndCheckpoints:
             train.load_checkpoint(path)
 
     def test_checkpoint_with_graph_info_self_contained(self, tmp_path):
-        info = {"layout": "chain", "inter_variant": "pairwise"}
-        cfg, A, ds, model, stats = self.trained(tmp_path, graph_info=info)
+        """A model trained without inter-person edges loads with that graph's adjacency,
+        not the default pairwise one, and scores as before."""
+        info = {"layout": "chain", "inter_variant": "none"}
+        cfg, pairwise = tiny_setup()
+        topo = graph.build_topology("chain", cfg.num_persons, cfg.joints_per_person, 0, "none")
+        A = graph.partition_and_normalize(topo).A_hat
+        assert not np.array_equal(A, pairwise)
+        _, _, ds, model, stats = self.trained(tmp_path, graph_info=info, A=A)
         loaded, _ = train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"))
-        batch = train.stack_batch(ds, [0], stats)
+        assert np.array_equal(loaded.adjacency, A)
+        batch = train.stack_batch(ds, [0, 1], stats)
         assert np.array_equal(model.forward(batch), loaded.forward(batch))
 
     @pytest.mark.parametrize(
