@@ -11,31 +11,27 @@ import typing
 import numpy as np
 
 from . import data_io, features, graph, gradcheck, train
-from .errors import ConfigError, PanographError
+from .errors import ConfigError, InputError, PanographError
 from .nn import ModelConfig
 from .nn.model import STREAM_ORDER
 from .reassign import assemble_sequence, parse_jsonl
 
 GRADCHECK_TOL = 1e-4
-GRAPH_KEYS = ("layout", "num_persons", "num_joints", "num_objects")  # manifest keys of the graph
+GRAPH_KEYS = ("layout", "num_persons", "num_joints", "num_objects")  # build_topology's arguments
+
+
+# `panograph synth` flags and the SyntheticSpec fields they set, whose types and defaults they take
+SYNTH_FLAGS = (
+    ("classes", "num_classes"), ("per-class", "samples_per_class"), ("persons", "num_persons"),
+    ("joints", "num_joints"), ("objects", "num_objects"), ("frames", "num_frames"),
+    ("noise", "noise_std"), ("seed", "seed"), ("distractors", "num_distractors"),
+    ("distractor-conf", "distractor_conf"), ("conf-jitter", "conf_jitter"),
+    ("dropout", "dropout_prob"), ("id-switch", "id_switch_prob"),
+)
 
 
 def cmd_synth(args) -> int:
-    spec = data_io.SyntheticSpec(
-        num_classes=args.classes,
-        samples_per_class=args.per_class,
-        num_persons=args.persons,
-        num_joints=args.joints,
-        num_objects=args.objects,
-        num_frames=args.frames,
-        noise_std=args.noise,
-        seed=args.seed,
-        num_distractors=args.distractors,
-        distractor_conf=args.distractor_conf,
-        conf_jitter=args.conf_jitter,
-        dropout_prob=args.dropout,
-        id_switch_prob=args.id_switch,
-    )
+    spec = data_io.SyntheticSpec(**{field: getattr(args, field) for _, field in SYNTH_FLAGS})
     samples = data_io.generate_synthetic(spec)
     os.makedirs(os.path.join(args.out, "samples"), exist_ok=True)
     os.makedirs(os.path.join(args.out, "truth"), exist_ok=True)
@@ -76,13 +72,17 @@ def cmd_reassign(args) -> int:
     os.makedirs(tensor_dir, exist_ok=True)
     reports = {}
     for entry in manifest["samples"]:
-        with data_io.open_input(os.path.join(args.data, entry["jsonl"])) as fh:
-            frames = parse_jsonl(fh, manifest["num_joints"])
-        tensor, report = assemble_sequence(
-            frames, manifest["num_persons"], manifest["num_joints"], score_mode=args.score_mode
-        )
+        path = os.path.join(args.data, entry["jsonl"])
+        text = data_io.read_input(path)
         truth = data_io.read_tensor_container(os.path.join(args.data, entry["truth"]))
-        full = data_io.append_object_nodes(tensor, truth["objects"])
+        try:
+            frames = parse_jsonl(text.split("\n"), manifest["num_joints"])
+            tensor, report = assemble_sequence(
+                frames, manifest["num_persons"], manifest["num_joints"], score_mode=args.score_mode
+            )
+            full = data_io.append_object_nodes(tensor, truth["objects"])
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
         data_io.write_tensor_container(
             os.path.join(tensor_dir, entry["id"] + ".pgt"), {"skeleton": full}
         )
@@ -94,19 +94,9 @@ def cmd_reassign(args) -> int:
     return 0
 
 
-def _topology_from_manifest(manifest, inter_variant="pairwise"):
-    return graph.build_topology(
-        manifest["layout"],
-        manifest["num_persons"],
-        manifest["num_joints"],
-        manifest["num_objects"],
-        inter_variant=inter_variant,
-    )
-
-
 def cmd_features(args) -> int:
     manifest = data_io.load_manifest(args.data, GRAPH_KEYS, ("id",))
-    topo = _topology_from_manifest(manifest)
+    topo = graph.build_topology(*(manifest[key] for key in GRAPH_KEYS))
     feat_dir = os.path.join(args.data, "features")
     os.makedirs(feat_dir, exist_ok=True)
 
@@ -144,16 +134,12 @@ def _load_dataset(data_dir, manifest) -> train.Dataset:
 def cmd_train(args) -> int:
     keys = GRAPH_KEYS + ("num_frames", "num_classes")
     manifest = data_io.load_manifest(args.data, keys, ("id", "label"))
-    with data_io.open_input(args.config) as fh:
-        raw = data_io.parse_flat_config(fh.read(), TRAIN_CONFIG_KEYS)
+    raw = data_io.parse_flat_config(data_io.read_input(args.config), TRAIN_CONFIG_KEYS)
     divisor = raw.pop("channel_divisor", 1)
     if divisor < 1:
         raise ConfigError(f"channel_divisor must be >= 1, got {divisor}")
-    inter_variant = raw.pop("inter_variant", "pairwise")
+    graph_info = {"layout": manifest["layout"], "inter_variant": raw.pop("inter_variant", "pairwise")}
     train_cfg = train.TrainConfig(**raw)
-    topo = _topology_from_manifest(manifest, inter_variant)
-    adjacency = graph.partition_and_normalize(topo).A_hat
-
     ds = _load_dataset(args.data, manifest)
     in_channels = ds.streams[0][STREAM_ORDER[0]].shape[-1] // 2
     model_cfg = ModelConfig(
@@ -167,15 +153,13 @@ def cmd_train(args) -> int:
     if divisor > 1:
         model_cfg = model_cfg.scaled(divisor)
     os.makedirs(args.out, exist_ok=True)
-    graph_info = {"layout": manifest["layout"], "inter_variant": inter_variant}
     train.train_loop(
         ds,
         model_cfg,
         train_cfg,
-        adjacency,
+        graph_info,
         out_dir=args.out,
         log_fn=lambda rec: print(json.dumps(rec)),
-        graph_info=graph_info,
     )
     return 0
 
@@ -220,19 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--per-class", type=int, default=8)
-    p.add_argument("--persons", type=int, default=3)
-    p.add_argument("--joints", type=int, default=5)
-    p.add_argument("--objects", type=int, default=1)
-    p.add_argument("--frames", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--distractors", type=int, default=2)
-    p.add_argument("--distractor-conf", type=float, default=0.3)
-    p.add_argument("--conf-jitter", type=float, default=0.0)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--id-switch", type=float, default=0.0)
+    hints, spec = typing.get_type_hints(data_io.SyntheticSpec), data_io.SyntheticSpec()
+    for flag, field in SYNTH_FLAGS:
+        p.add_argument("--" + flag, dest=field, type=hints[field], default=getattr(spec, field))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth)
 
@@ -270,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PanographError as exc:
+    except (PanographError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

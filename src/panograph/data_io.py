@@ -59,17 +59,24 @@ def write_atomic(path: str, write, mode: str) -> None:
         raise
 
 
-def open_input(path: str, mode: str = "r"):
-    """``open(path, mode)``; InputError naming the path if it cannot be opened."""
+def read_input(path: str, text: bool = True) -> str | bytes:
+    """The whole file, as UTF-8 text or (``text=False``) as bytes. InputError names
+    the path if it cannot be read, FormatError if its text is not UTF-8."""
     try:
-        return open(path, mode)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
+    if not text:
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from exc
 
 
 def read_tensor_container(path: str) -> dict[str, np.ndarray]:
-    with open_input(path, "rb") as fh:
-        data = fh.read()
+    data = read_input(path, text=False)
     if data[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
     if len(data) < 8:
@@ -276,6 +283,9 @@ def append_object_nodes(skeleton: np.ndarray, objects: np.ndarray) -> np.ndarray
     """Expand (T, M, V, C) to (T, M, V+n, C): every person gets the same
     object coordinates as non-shared per-person nodes."""
     T, M, V, C = skeleton.shape
+    if objects.ndim != 3 or objects.shape[0] != T or objects.shape[2] < C:
+        raise InputError(f"objects of shape {objects.shape} do not fit a skeleton of {T} frames "
+                         f"and {C} channels")
     n = objects.shape[1]
     if n == 0:
         return skeleton
@@ -311,15 +321,12 @@ def parse_flat_config(text: str, known_keys: dict[str, type]) -> dict:
 
 def load_manifest(data_dir: str, keys=(), sample_keys=()) -> dict:
     """The manifest; FormatError if it lacks 'samples', a ``keys`` key or a ``sample_keys`` key,
-    or if such a key has the wrong type: ``num_*`` and ``label`` are ints, the rest strings."""
+    or if such a key has the wrong type: ``num_*`` and ``label`` are ints >= 0, the rest strings."""
     path = os.path.join(data_dir, "manifest.json")
-    if not os.path.exists(path):
-        raise InputError(f"no manifest.json in {data_dir}")
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
-            raise FormatError(f"{path}: not JSON: {exc}") from exc
+    try:
+        manifest = json.loads(read_input(path))
+    except ValueError as exc:
+        raise FormatError(f"{path}: not JSON: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise FormatError(f"{path}: expected an object with a 'samples' list")
     for i, entry in enumerate([manifest] + manifest["samples"]):
@@ -331,6 +338,8 @@ def load_manifest(data_dir: str, keys=(), sample_keys=()) -> dict:
             if not isinstance(entry[key], want) or isinstance(entry[key], bool):
                 raise FormatError(f"{where} key {key!r} is {type(entry[key]).__name__}, "
                                   f"expected {want.__name__}")
+            if want is int and entry[key] < 0:
+                raise FormatError(f"{where} key {key!r} is {entry[key]}, expected >= 0")
     return manifest
 
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the toolchain, and the name-set check
 the checkpoint loaders share.
 
-CLI maps UsageError-like argparse failures to exit 2 and everything below
-to exit 1.
+CLI maps UsageError-like argparse failures to exit 2, and everything below
+and any OSError to exit 1.
 """
 
 

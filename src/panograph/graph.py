@@ -92,7 +92,7 @@ def build_intra_topology(layout: str, num_joints: int) -> list[tuple[int, int]]:
     raise ConfigError(f"unknown skeleton layout {layout!r}")
 
 
-INTER_VARIANTS = ("none", "fully-connected", "linear", "pairwise")
+INTER_VARIANTS = ("none", "linear", "pairwise")
 
 
 def build_topology(
@@ -108,8 +108,7 @@ def build_topology(
     each object-holding joint (both wrists for coco17, both ends of a
     chain); person p's copy is offset by p * (num_joints + num_objects).
     Inter-person links join two persons' center joints and same-slot
-    object nodes: ``pairwise``/``fully-connected`` link every unordered
-    pair of persons (the two coincide for a complete pair enumeration),
+    object nodes: ``pairwise`` links every unordered pair of persons,
     ``linear`` consecutive persons only, and ``none`` no persons.
     """
     if num_persons < 1:

@@ -226,7 +226,7 @@ def parse_jsonl(lines, num_joints: int) -> list[PoseFrame]:
             )
         except InputError:
             raise
-        except (KeyError, IndexError, ValueError, TypeError) as exc:
+        except (KeyError, IndexError, ValueError, TypeError, OverflowError) as exc:  # int(inf) overflows
             raise InputError(f"line {lineno}: malformed record ({exc})") from exc
         frames.setdefault(t, PoseFrame(t, [])).detections.append(det)
         parsed.append((lineno, kpts))

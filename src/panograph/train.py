@@ -137,33 +137,46 @@ def _batches(indices: np.ndarray, batch_size: int):
         yield indices[start : start + batch_size]
 
 
+def _check_dataset(ds: Dataset, num_classes: int) -> None:
+    if len(ds) == 0:
+        raise InputError("empty dataset")
+    for label in (ds.labels.min(), ds.labels.max()):
+        if not 0 <= label < num_classes:
+            raise InputError(f"label {int(label)} out of range for {num_classes} classes")
+
+
+def build_model(cfg: ModelConfig, graph_info: dict, rng: np.random.Generator) -> MPGCN:
+    """An MPGCN on the graph that ``graph_info`` names: its ``layout`` and optional
+    ``inter_variant`` (default ``pairwise``); a bad graph is ConfigError "graph: ..."."""
+    try:
+        topo = graph.build_topology(graph_info["layout"], cfg.num_persons, cfg.joints_per_person,
+                                    cfg.object_keypoints, graph_info.get("inter_variant", "pairwise"))
+    except ConfigError as exc:
+        raise ConfigError(f"graph: {exc}") from exc
+    return MPGCN(cfg, graph.partition_and_normalize(topo).A_hat, rng)
+
+
 def train_loop(
     ds: Dataset,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    adjacency: np.ndarray,
+    graph_info: dict,
     out_dir: str | None = None,
     use_validation: bool = True,
     log_fn=None,
-    graph_info: dict | None = None,
 ) -> tuple[MPGCN, dict, list[dict]]:
-    """Train from scratch; returns (model, norm stats, per-epoch records).
+    """Train from scratch on the graph ``graph_info`` names (see ``build_model``);
+    returns (model, norm stats, per-epoch records).
 
-    Checkpoints (when ``out_dir`` is set) are written at the best validation
-    MCA and at the end, each with ``graph_info``.
+    When ``out_dir`` is set, each epoch's record is appended to ``metrics.jsonl``
+    as soon as the epoch ends, and checkpoints carrying ``graph_info`` are
+    written at the best validation MCA and at the end.
     """
     train_cfg.validate()
     model_cfg.validate()
-    if out_dir and graph_info is None:
-        raise ConfigError("out_dir needs graph_info: a checkpoint is loaded from its own graph")
-    if len(ds) == 0:
-        raise InputError("empty dataset")
-    if ds.labels.max() >= model_cfg.num_classes:
-        raise InputError(
-            f"label {int(ds.labels.max())} out of range for {model_cfg.num_classes} classes"
-        )
+    _check_dataset(ds, model_cfg.num_classes)
     rng = np.random.default_rng(train_cfg.seed)
-    model = MPGCN(model_cfg, adjacency, rng)
+    model = build_model(model_cfg, graph_info, rng)
     optimizer = SGDNesterov(model, train_cfg)
 
     all_idx = np.arange(len(ds))
@@ -205,14 +218,14 @@ def train_loop(
         records.append(record)
         if log_fn:
             log_fn(record)
-        if out_dir and val_mca > best_val:
-            best_val = val_mca
-            save_checkpoint(os.path.join(out_dir, "ckpt_best.pgt"), model, norm_stats, graph_info)
+        if out_dir:
+            with open(os.path.join(out_dir, "metrics.jsonl"), "a" if epoch else "w") as fh:
+                fh.write(json.dumps(record) + "\n")
+            if val_mca > best_val:
+                best_val = val_mca
+                save_checkpoint(os.path.join(out_dir, "ckpt_best.pgt"), model, norm_stats, graph_info)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "ckpt_final.pgt"), model, norm_stats, graph_info)
-        with open(os.path.join(out_dir, "metrics.jsonl"), "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
     return model, norm_stats, records
 
 
@@ -260,8 +273,6 @@ def evaluate(
     Fusion averages softmax scores across checkpoints before the argmax;
     ties already resolve to the smallest class index.
     """
-    if len(ds) == 0:
-        raise InputError("empty dataset")
     if not models_and_stats:
         raise InputError("need at least one checkpoint")
     if not fuse and len(models_and_stats) > 1:
@@ -271,6 +282,7 @@ def evaluate(
     for model, _ in models_and_stats:
         if model.config.num_classes != num_classes:
             raise InputError("fused checkpoints must share num_classes")
+    _check_dataset(ds, num_classes)
     total = np.zeros((len(ds), num_classes))
     for model, stats in models_and_stats:
         total += predict_scores(model, ds, indices, stats, batch_size)
@@ -338,14 +350,8 @@ def load_checkpoint(path: str) -> tuple[MPGCN, dict]:
     for name, value in tensors.items():  # parameters, buffers and norm.* stats
         if not np.isfinite(value).all():
             raise FormatError(f"{path}: entry {name!r} is not finite")
-    cfg = ModelConfig(**fields)
     try:
-        topo = graph.build_topology(info["layout"], cfg.num_persons, cfg.joints_per_person,
-                                    cfg.object_keypoints, info.get("inter_variant", "pairwise"))
-    except ConfigError as exc:
-        raise FormatError(f"{path}: config: graph: {exc}") from exc
-    try:
-        model = MPGCN(cfg, graph.partition_and_normalize(topo).A_hat, np.random.default_rng(0))
+        model = build_model(ModelConfig(**fields), info, np.random.default_rng(0))
     except ConfigError as exc:
         raise FormatError(f"{path}: config: {exc}") from exc
     params = {k[len("param."):]: v for k, v in tensors.items() if k.startswith("param.")}

@@ -57,7 +57,7 @@ def test_criterion_2_adjacency_invariants(capsys):
         M = int(rng.integers(1, 5))
         V = int(rng.integers(1, 9))
         n = int(rng.integers(0, 3))
-        variant = graph.INTER_VARIANTS[rng.integers(0, 4)]
+        variant = graph.INTER_VARIANTS[rng.integers(0, len(graph.INTER_VARIANTS))]
         topo = graph.build_topology("chain", M, V, n, inter_variant=variant)
         part = graph.partition_and_normalize(topo)
         N = topo.num_nodes
@@ -200,12 +200,11 @@ def _overfit_dataset(zero_motion=False):
 
 
 def _overfit_run(inter_variant, zero_motion, epochs=18):
-    topo = graph.build_topology("chain", 3, 5, 1, inter_variant=inter_variant)
-    A = graph.partition_and_normalize(topo).A_hat
     ds = _overfit_dataset(zero_motion)
     cfg = ModelConfig(3, 5, 1, 16, 8).scaled(4)
     tc = train.TrainConfig(epochs=epochs, warmup_epochs=5, base_lr=0.05, batch_size=16, seed=0)
-    _, _, records = train.train_loop(ds, cfg, tc, A, out_dir=None, use_validation=False)
+    graph_info = {"layout": "chain", "inter_variant": inter_variant}
+    _, _, records = train.train_loop(ds, cfg, tc, graph_info, out_dir=None, use_validation=False)
     return records
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -96,6 +97,7 @@ class TestReassign:
     ROSTER = {"num_joints": 2, "num_persons": 2}
     FILES = {"id": "a", "jsonl": "samples/a.jsonl", "truth": "truth/a.pgt"}
     DETECTION = {"t": 0, "id": 0, "conf": 1.0, "bbox": [0, 0, 1, 1], "kpts": [[0, 0, 1]] * 2}
+    TRUTH = {"truth/a.pgt": {"objects": np.zeros((1, 0, 3))}}
     NO_FILE = "cannot read (No such file or directory)"
 
     @pytest.mark.parametrize("command,manifest,files,error", [
@@ -124,18 +126,38 @@ class TestReassign:
         ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN}, {"train.cfg": ""},
          f"features/a.pgt: {NO_FILE}"),
         ("eval", {"samples": [{"id": "a", "label": 0}]}, {}, f"features/a.pgt: {NO_FILE}"),
+        ("reassign", {"samples": [FILES], **ROSTER}, {"samples/a.jsonl": b"\xff\n"},
+         "samples/a.jsonl: not UTF-8 (byte 0: invalid start byte)"),
+        ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN}, {"train.cfg": b"seed = 0\xe9\n"},
+         "train.cfg: not UTF-8 (byte 8: invalid continuation byte)"),
+        ("features", None, {}, "manifest.json: cannot read (Is a directory)"),
+        ("reassign", {"samples": [FILES], **ROSTER},
+         {"samples/a.jsonl": json.dumps(DETECTION).replace('"t": 0', '"t": 1e400'), **TRUTH},
+         "samples/a.jsonl: line 1: malformed record (cannot convert float infinity to integer)"),
+        ("reassign", {"samples": [FILES], **ROSTER},
+         {"samples/a.jsonl": json.dumps(DETECTION).replace('"id": 0', '"id": Infinity'), **TRUTH},
+         "samples/a.jsonl: line 1: malformed record (cannot convert float infinity to integer)"),
     ], ids=["features-layout", "reassign-jsonl", "reassign-persons", "features-sample-type",
             "train-classes", "eval-label", "features-persons-str", "train-classes-bool",
             "eval-label-float", "reassign-id-int", "reassign-jsonl-file", "reassign-truth-file",
             "features-tensor-file", "train-config-file", "train-feature-file",
-            "eval-feature-file"])
+            "eval-feature-file", "reassign-jsonl-utf8", "train-config-utf8",
+            "features-manifest-dir", "reassign-t-overflow", "reassign-id-infinity"])
     def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, files, error):
         """Each command checks the manifest keys it reads and their types before reading
-        them, and a missing file it reads names its path: exit 1 and one error line."""
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        for name, text in files.items():
+        them, and a file it cannot read or decode names its path: exit 1 and one error
+        line. A manifest of None makes ``manifest.json`` a directory; a file given as a
+        dict is a tensor container."""
+        if manifest is None:
+            (tmp_path / "manifest.json").mkdir()
+        else:
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        for name, content in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
+            if isinstance(content, dict):
+                data_io.write_tensor_container(str(tmp_path / name), content)
+            else:
+                (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
         extra = {"train": ["--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run")],
                  "eval": ["--ckpt", str(tmp_path / "none.pgt")]}.get(command, [])
         assert cli.main([command, "--data", str(tmp_path)] + extra) == 1
@@ -251,6 +273,15 @@ class TestTrain:
         assert self.config_error(pipeline, tmp_path, capsys, text) == (
             "error: config line 3: key 'epochs' already set on line 2")
 
+    def test_unwritable_out_exits_1(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN_CONFIG)
+        out = cfg / "run"  # below a file: the directory cannot be made
+        assert cli.main(["train", "--config", str(cfg), "--data", data, "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.endswith(f"Not a directory: '{out}'")
+
     def test_unknown_config_key_exits_1(self, pipeline, tmp_path, capsys):
         _, data, _ = pipeline
         cfg = tmp_path / "bad.cfg"
@@ -348,3 +379,64 @@ class TestEval:
         ckpt = os.path.join(out, "ckpt_final.pgt")
         assert cli.main(["eval", "--ckpt", ckpt, "--ckpt", ckpt, "--data", data]) == 1
         assert "fuse" in capsys.readouterr().err
+
+
+FUZZ_CONFIG = "epochs = 1\nwarmup_epochs = 0\nbase_lr = 0.002\nbatch_size = 4\nchannel_divisor = 8\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A 4-clip desk dataset of 4 frames through reassign and features, a training
+    config, and a checkpoint trained on them."""
+    root = tmp_path_factory.mktemp("fuzz_base")
+    data = str(root / "data")
+    assert cli.main(["synth", "--classes", "2", "--per-class", "2", "--persons", "2",
+                     "--joints", "3", "--frames", "4", "--out", data]) == 0
+    assert cli.main(["reassign", "--data", data]) == 0
+    assert cli.main(["features", "--data", data]) == 0
+    (root / "train.cfg").write_text(FUZZ_CONFIG)
+    assert cli.main(["train", "--config", str(root / "train.cfg"), "--data", data,
+                     "--out", str(root / "run")]) == 0
+    return root
+
+
+def mutate(raw: bytes, rng: np.random.Generator) -> bytes:
+    """One byte flipped, inserted or deleted at a random position."""
+    pos, op = int(rng.integers(0, len(raw))), int(rng.integers(0, 3))
+    if op == 0:
+        return raw[:pos] + bytes([raw[pos] ^ int(rng.integers(1, 256))]) + raw[pos + 1:]
+    if op == 1:
+        return raw[:pos] + bytes([int(rng.integers(0, 256))]) + raw[pos:]
+    return raw[:pos] + raw[pos + 1:]
+
+
+FUZZ_TARGETS = {  # mutated file -> seed, stages run on it in pipeline order
+    "data/samples/s0000.jsonl": (1, ["reassign"]),
+    "data/manifest.json": (2, ["reassign", "features", "train", "eval"]),
+    "train.cfg": (3, ["train"]),
+}
+
+
+@pytest.mark.parametrize("target", list(FUZZ_TARGETS))
+def test_byte_mutation_exits_0_or_1(fuzz_base, tmp_path, capsys, target):
+    """Seeded one-byte mutations of a file from outside: every stage that reads it
+    exits 0, or exits 1 with exactly one ``error:`` line on stderr."""
+    seed, stages = FUZZ_TARGETS[target]
+    rng = np.random.default_rng(seed)
+    capsys.readouterr()
+    for case in range(100):
+        work = tmp_path / str(case)
+        shutil.copytree(fuzz_base, work)
+        mutated = mutate((work / target).read_bytes(), rng)
+        (work / target).write_bytes(mutated)
+        argv = {"train": ["--config", str(work / "train.cfg"), "--out", str(work / "run")],
+                "eval": ["--ckpt", str(work / "run" / "ckpt_final.pgt")]}
+        for stage in stages:
+            code = cli.main([stage, "--data", str(work / "data")] + argv.get(stage, []))
+            err = capsys.readouterr().err
+            what = f"case {case} {stage}: {mutated!r}"
+            assert code in (0, 1), what
+            if code == 1:
+                assert len(err.splitlines()) == 1 and err.startswith("error:"), f"{what}\n{err}"
+                break
+        shutil.rmtree(work)

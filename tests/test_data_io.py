@@ -235,6 +235,14 @@ class TestAppendObjects:
         out = data_io.append_object_nodes(skeleton, np.zeros((2, 0, 3)))
         assert out is skeleton
 
+    @pytest.mark.parametrize("shape", [(3, 1, 3), (3, 0, 3), (2, 1, 2), (2, 3)])
+    def test_objects_that_do_not_fit_rejected(self, shape):
+        """Objects of another frame count (as when detections skip or add a frame),
+        too few channels or another rank are refused."""
+        with pytest.raises(InputError, match=re.escape(f"objects of shape {shape} do not fit a "
+                                                       "skeleton of 2 frames and 3 channels")):
+            data_io.append_object_nodes(np.zeros((2, 1, 3, 3)), np.zeros(shape))
+
 
 class TestFlatConfig:
     KEYS = {"epochs": int, "base_lr": float}
@@ -269,6 +277,7 @@ class TestManifest:
     @pytest.mark.parametrize("key,value,types", [
         ("num_persons", "2", "str, expected int"), ("num_frames", 4.0, "float, expected int"),
         ("num_joints", False, "bool, expected int"), ("layout", 17, "int, expected str"),
+        ("num_objects", -1, "-1, expected >= 0"),
     ])
     def test_key_types(self, tmp_path, key, value, types):
         data_io.save_manifest(str(tmp_path), {"samples": [], key: value})

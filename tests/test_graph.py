@@ -89,18 +89,14 @@ class TestInterEdges:
         topo = graph.build_topology("coco17", 3, 17, num_objects=1, inter_variant="linear")
         assert len(topo.inter_edges) == 2 * 3
 
-    def test_pairwise_equals_fully_connected(self):
-        a = graph.build_topology("chain", 3, 5, 1, inter_variant="pairwise")
-        b = graph.build_topology("chain", 3, 5, 1, inter_variant="fully-connected")
-        assert sorted(a.inter_edges) == sorted(b.inter_edges)
-
     def test_none_variant(self):
         topo = graph.build_topology("chain", 4, 5, inter_variant="none")
         assert topo.inter_edges == []
 
     def test_unknown_variant(self):
-        with pytest.raises(ConfigError):
-            graph.build_topology("chain", 2, 3, inter_variant="dense")
+        for variant in ("dense", "fully-connected"):  # the second was an alias of pairwise
+            with pytest.raises(ConfigError, match=f"unknown inter-body variant '{variant}'"):
+                graph.build_topology("chain", 2, 3, inter_variant=variant)
 
 
 class TestNormalization:

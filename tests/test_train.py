@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from panograph import data_io, gradcheck, graph, train
+from panograph import data_io, gradcheck, train
 from panograph.errors import ConfigError, FormatError, InputError, TrainingError
 from panograph.nn import MPGCN, cross_entropy
 from panograph.nn.core import Module
@@ -23,6 +23,9 @@ class ScalarModel(Module):
 
     def set_grad(self, g):
         self._grads["w"][:] = g
+
+
+CHAIN = {"layout": "chain", "inter_variant": "pairwise"}  # the graph of tiny_setup's A
 
 
 def tiny_setup(seed=0, num_classes=5):
@@ -255,12 +258,12 @@ class TestTrainLoop:
         return train.TrainConfig(**base)
 
     def test_records_structure_and_determinism(self):
-        cfg, A = tiny_setup()
+        cfg, _ = tiny_setup()
         ds = tiny_dataset(cfg, 8, np.random.default_rng(4))
         runs = []
         for _ in range(2):
             tc = self.make_cfg(base_lr=0.002)  # 0.05 diverges to a loss of ~1e19 here
-            _, _, records = train.train_loop(ds, cfg, tc, A, out_dir=None)
+            _, _, records = train.train_loop(ds, cfg, tc, CHAIN, out_dir=None)
             runs.append(records)
         assert runs[0] == runs[1]
         assert set(runs[0][0]) == {"epoch", "lr", "train_loss", "train_mca", "val_mca"}
@@ -268,64 +271,81 @@ class TestTrainLoop:
         assert runs[0][-1]["train_loss"] < runs[0][0]["train_loss"]
 
     def test_single_sample_memorization(self):
-        cfg, A = tiny_setup()
+        cfg, _ = tiny_setup()
         ds = tiny_dataset(cfg, 1, np.random.default_rng(5))
         tc = self.make_cfg(epochs=60, warmup_epochs=5, base_lr=0.02, batch_size=1)
-        _, _, records = train.train_loop(ds, cfg, tc, A, out_dir=None, use_validation=False)
+        _, _, records = train.train_loop(ds, cfg, tc, CHAIN, out_dir=None, use_validation=False)
         assert records[-1]["train_loss"] < 0.01
         assert records[-1]["train_loss"] < records[0]["train_loss"]
 
     def test_loss_decreases_on_separable_data(self):
-        cfg, A = tiny_setup()
+        cfg, _ = tiny_setup()
         ds = tiny_dataset(cfg, 10, np.random.default_rng(6))
         _, _, records = train.train_loop(
-            ds, cfg, self.make_cfg(epochs=10, warmup_epochs=2, base_lr=0.01), A, out_dir=None
+            ds, cfg, self.make_cfg(epochs=10, warmup_epochs=2, base_lr=0.01), CHAIN, out_dir=None
         )
         assert records[-1]["train_loss"] < records[0]["train_loss"]
 
     def test_empty_dataset(self):
-        cfg, A = tiny_setup()
+        cfg, _ = tiny_setup()
         with pytest.raises(InputError):
-            train.train_loop(train.Dataset([], np.array([], dtype=int)), cfg, self.make_cfg(), A)
+            train.train_loop(train.Dataset([], np.array([], dtype=int)), cfg, self.make_cfg(), CHAIN)
 
     def test_label_out_of_range(self):
-        cfg, A = tiny_setup(num_classes=5)
+        cfg, _ = tiny_setup(num_classes=5)
         ds = tiny_dataset(cfg, 4, np.random.default_rng(7))
         ds.labels[0] = 9
         with pytest.raises(InputError):
-            train.train_loop(ds, cfg, self.make_cfg(), A)
+            train.train_loop(ds, cfg, self.make_cfg(), CHAIN)
 
-    def test_out_dir_needs_graph_info(self, tmp_path):
-        """Refused before the first epoch: a checkpoint without its graph cannot be loaded."""
-        cfg, A = tiny_setup()
+    def test_unknown_graph_refused_before_first_epoch(self, tmp_path):
+        """The model is built on the graph the checkpoints will carry: one it cannot
+        build stops the run before any epoch, record or file."""
+        cfg, _ = tiny_setup()
         ds = tiny_dataset(cfg, 8, np.random.default_rng(8))
         records = []
-        with pytest.raises(ConfigError, match="graph_info"):
-            train.train_loop(ds, cfg, self.make_cfg(), A, out_dir=str(tmp_path),
-                             log_fn=records.append, graph_info=None)
+        with pytest.raises(ConfigError, match="graph: unknown skeleton layout 'ring'"):
+            train.train_loop(ds, cfg, self.make_cfg(), {"layout": "ring"}, out_dir=str(tmp_path),
+                             log_fn=records.append)
         assert records == [] and list(tmp_path.iterdir()) == []
 
+    def test_metrics_appended_per_epoch(self, tmp_path, monkeypatch):
+        """A run that fails in its second epoch leaves the first epoch's record on disk."""
+        cfg, _ = tiny_setup()
+        ds = tiny_dataset(cfg, 8, np.random.default_rng(8))
+        steps, records = [], []
+        step = train.SGDNesterov.step
 
-CHAIN = {"layout": "chain", "inter_variant": "pairwise"}
+        def failing_step(self, model, lr):
+            steps.append(lr)
+            if len(steps) > 2:  # 7 training clips in batches of 4: two steps an epoch
+                raise TrainingError("non-finite gradient in w")
+            step(self, model, lr)
+
+        monkeypatch.setattr(train.SGDNesterov, "step", failing_step)
+        with pytest.raises(TrainingError):
+            train.train_loop(ds, cfg, self.make_cfg(base_lr=0.002), CHAIN, out_dir=str(tmp_path),
+                             log_fn=records.append)
+        assert len(records) == 1 and records[0]["epoch"] == 0
+        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == records
 
 
 class TestEvaluateAndCheckpoints:
-    def trained(self, tmp_path, graph_info=CHAIN, A=None):
-        cfg, chain = tiny_setup()
-        A = chain if A is None else A
+    def trained(self, tmp_path, graph_info=CHAIN):
+        cfg, _ = tiny_setup()
         ds = tiny_dataset(cfg, 8, np.random.default_rng(8))
         model, stats, _ = train.train_loop(
             ds,
             cfg,
             train.TrainConfig(epochs=2, warmup_epochs=1, base_lr=0.05, batch_size=4),
-            A,
+            graph_info,
             out_dir=str(tmp_path),
-            graph_info=graph_info,
         )
-        return cfg, A, ds, model, stats
+        return cfg, ds, model, stats
 
     def test_fused_self_evaluation_identity(self, tmp_path):
-        _, _, ds, model, stats = self.trained(tmp_path)
+        _, ds, model, stats = self.trained(tmp_path)
         single = train.evaluate(ds, [(model, stats)])
         fused = train.evaluate(ds, [(model, stats), (model, stats)], fuse=True)
         assert single["mca"] == fused["mca"]
@@ -333,7 +353,7 @@ class TestEvaluateAndCheckpoints:
         assert np.array_equal(single["confusion"], fused["confusion"])
 
     def test_val_metrics_cover_validation_split(self, tmp_path):
-        _, _, ds, model, stats = self.trained(tmp_path)
+        _, ds, model, stats = self.trained(tmp_path)
         val_idx = np.flatnonzero(train.validation_mask(len(ds)))
         assert list(val_idx) == [6]
         val = train.evaluate(ds, [(model, stats)])["val"]
@@ -343,13 +363,20 @@ class TestEvaluateAndCheckpoints:
         head = train.Dataset(ds.streams[:6], ds.labels[:6])
         assert train.evaluate(head, [(model, stats)])["val"] is None
 
+    @pytest.mark.parametrize("label", [-1, 5])
+    def test_label_out_of_range_rejected(self, tmp_path, label):
+        _, ds, model, stats = self.trained(tmp_path)
+        ds.labels[3] = label
+        with pytest.raises(InputError, match=f"label {label} out of range for 5 classes"):
+            train.evaluate(ds, [(model, stats)])
+
     def test_multiple_without_fuse_rejected(self, tmp_path):
-        _, _, ds, model, stats = self.trained(tmp_path)
+        _, ds, model, stats = self.trained(tmp_path)
         with pytest.raises(InputError):
             train.evaluate(ds, [(model, stats), (model, stats)], fuse=False)
 
     def test_checkpoint_roundtrip_exact_logits(self, tmp_path):
-        _, _, ds, model, stats = self.trained(tmp_path)
+        _, ds, model, stats = self.trained(tmp_path)
         loaded, loaded_stats = train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"))
         batch = train.stack_batch(ds, [0, 1], stats)
         assert np.array_equal(model.forward(batch), loaded.forward(batch))
@@ -369,14 +396,11 @@ class TestEvaluateAndCheckpoints:
     def test_checkpoint_with_graph_info_self_contained(self, tmp_path):
         """A model trained without inter-person edges loads with that graph's adjacency,
         not the default pairwise one, and scores as before."""
-        info = {"layout": "chain", "inter_variant": "none"}
-        cfg, pairwise = tiny_setup()
-        topo = graph.build_topology("chain", cfg.num_persons, cfg.joints_per_person, 0, "none")
-        A = graph.partition_and_normalize(topo).A_hat
-        assert not np.array_equal(A, pairwise)
-        _, _, ds, model, stats = self.trained(tmp_path, graph_info=info, A=A)
+        _, pairwise = tiny_setup()
+        _, ds, model, stats = self.trained(tmp_path, {"layout": "chain", "inter_variant": "none"})
         loaded, _ = train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"))
-        assert np.array_equal(loaded.adjacency, A)
+        assert np.array_equal(loaded.adjacency, model.adjacency)
+        assert not np.array_equal(loaded.adjacency, pairwise)
         batch = train.stack_batch(ds, [0, 1], stats)
         assert np.array_equal(model.forward(batch), loaded.forward(batch))
 
@@ -403,26 +427,26 @@ class TestEvaluateAndCheckpoints:
             train.load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "graph_info, change, named",
+        "change, named",
         [
-            ({"inter_variant": "pairwise"}, {}, "graph must be an object with a string layout"),
-            ({"layout": "ring"}, {}, "graph: unknown skeleton layout 'ring'"),
-            ({"layout": "chain", "inter_variant": 2}, {}, "graph must be an object"),
-            (CHAIN, {"graph": ["chain"]}, "graph must be an object"),
-            (CHAIN, {"num_persons": "2"}, "num_persons must be int, got '2'"),
-            (CHAIN, {"num_classes": True}, "num_classes must be int, got True"),
-            (CHAIN, {"main_branch_channels": [8, "8"]}, "main_branch_channels must be list[int]"),
-            (CHAIN, {"input_branch_channels": 8}, "input_branch_channels must be list[int], got 8"),
-            (CHAIN, {"num_classes": 1}, "need at least two classes"),
-            (CHAIN, {"in_channels": 0}, "in_channels must be >= 1, got 0"),
-            (CHAIN, {"main_branch_channels": [32, -8, 32, 64, 64, 64]},
+            ({"graph": {"inter_variant": "pairwise"}}, "graph must be an object with a string layout"),
+            ({"graph": {"layout": "ring"}}, "graph: unknown skeleton layout 'ring'"),
+            ({"graph": {"layout": "chain", "inter_variant": 2}}, "graph must be an object"),
+            ({"graph": ["chain"]}, "graph must be an object"),
+            ({"num_persons": "2"}, "num_persons must be int, got '2'"),
+            ({"num_classes": True}, "num_classes must be int, got True"),
+            ({"main_branch_channels": [8, "8"]}, "main_branch_channels must be list[int]"),
+            ({"input_branch_channels": 8}, "input_branch_channels must be list[int], got 8"),
+            ({"num_classes": 1}, "need at least two classes"),
+            ({"in_channels": 0}, "in_channels must be >= 1, got 0"),
+            ({"main_branch_channels": [32, -8, 32, 64, 64, 64]},
              "block output -8 not a positive multiple of 4"),
         ],
         ids=["no_layout", "unknown_layout", "variant_int", "graph_list", "persons_str",
              "classes_bool", "width_str", "plan_int", "one_class", "no_channels", "width_negative"],
     )
-    def test_checkpoint_sidecar_types_checked(self, tmp_path, graph_info, change, named):
-        self.trained(tmp_path, graph_info=graph_info)
+    def test_checkpoint_sidecar_types_checked(self, tmp_path, change, named):
+        self.trained(tmp_path)
         path = str(tmp_path / "ckpt_final.pgt")
         config = json.loads(read_config(path))
         config.update(change)
