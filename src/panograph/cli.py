@@ -11,7 +11,7 @@ import typing
 import numpy as np
 
 from . import data_io, features, graph, gradcheck, train
-from .errors import ConfigError, InputError, PanographError
+from .errors import InputError, PanographError
 from .nn import ModelConfig
 from .nn.model import STREAM_ORDER
 from .reassign import assemble_sequence, parse_jsonl
@@ -74,7 +74,7 @@ def cmd_reassign(args) -> int:
     for entry in manifest["samples"]:
         path = os.path.join(args.data, entry["jsonl"])
         text = data_io.read_input(path)
-        truth = data_io.read_tensor_container(os.path.join(args.data, entry["truth"]))
+        truth = data_io.read_tensor_container(os.path.join(args.data, entry["truth"]), ("objects",))
         try:
             frames = parse_jsonl(text.split("\n"), manifest["num_joints"])
             tensor, report = assemble_sequence(
@@ -101,10 +101,9 @@ def cmd_features(args) -> int:
     os.makedirs(feat_dir, exist_ok=True)
 
     for entry in manifest["samples"]:
-        tensors = data_io.read_tensor_container(
-            os.path.join(args.data, "tensors", entry["id"] + ".pgt")
-        )
-        x = tensors["skeleton"]
+        x = data_io.read_tensor_container(
+            os.path.join(args.data, "tensors", entry["id"] + ".pgt"), ("skeleton",)
+        )["skeleton"]
         if args.dims == 2:
             x = x[..., :2]
         bundle = features.build_feature_bundle(x, topo)
@@ -126,7 +125,7 @@ def _load_dataset(data_dir, manifest) -> train.Dataset:
     streams, labels = [], []
     for entry in manifest["samples"]:
         path = os.path.join(data_dir, "features", entry["id"] + ".pgt")
-        streams.append(data_io.read_tensor_container(path))
+        streams.append(data_io.read_tensor_container(path, STREAM_ORDER))
         labels.append(entry["label"])
     return train.Dataset(streams, np.array(labels, dtype=int))
 
@@ -136,8 +135,6 @@ def cmd_train(args) -> int:
     manifest = data_io.load_manifest(args.data, keys, ("id", "label"))
     raw = data_io.parse_flat_config(data_io.read_input(args.config), TRAIN_CONFIG_KEYS)
     divisor = raw.pop("channel_divisor", 1)
-    if divisor < 1:
-        raise ConfigError(f"channel_divisor must be >= 1, got {divisor}")
     graph_info = {"layout": manifest["layout"], "inter_variant": raw.pop("inter_variant", "pairwise")}
     train_cfg = train.TrainConfig(**raw)
     ds = _load_dataset(args.data, manifest)
@@ -149,9 +146,8 @@ def cmd_train(args) -> int:
         num_frames=manifest["num_frames"],
         num_classes=manifest["num_classes"],
         in_channels=in_channels,
+        channel_divisor=divisor,
     )
-    if divisor > 1:
-        model_cfg = model_cfg.scaled(divisor)
     os.makedirs(args.out, exist_ok=True)
     train.train_loop(
         ds,

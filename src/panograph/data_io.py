@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
-from .reassign import reassign_frame, Detection, PoseFrame, TrackState
+from .reassign import Detection, PoseFrame, assemble_sequence
 
 MAGIC = b"PGT1"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
@@ -75,7 +75,9 @@ def read_input(path: str, text: bool = True) -> str | bytes:
         raise FormatError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from exc
 
 
-def read_tensor_container(path: str) -> dict[str, np.ndarray]:
+def read_tensor_container(path: str, require: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+    """Every entry by name; FormatError names the path and what is malformed,
+    or the first name in ``require`` that has no entry."""
     data = read_input(path, text=False)
     if data[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
@@ -114,6 +116,9 @@ def read_tensor_container(path: str) -> dict[str, np.ndarray]:
             raise FormatError(f"{path}: entry {name!r} has shape {dims}: {exc}") from exc
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes after {count} entries")
+    for name in require:
+        if name not in out:
+            raise FormatError(f"{path}: lacks entry {name!r}")
     return out
 
 
@@ -195,11 +200,10 @@ def generate_sample(spec: SyntheticSpec, label: int, rng: np.random.Generator) -
         (M + 1 + d, (100.0 + 37.0 * d, 80.0)) for d in range(spec.num_distractors)
     ]
 
-    skeleton = np.zeros((T, M, V, 3))
     objects = np.zeros((T, max(spec.num_objects, 1), 3))[:, : spec.num_objects, :]
     clean = np.ones(T)
     lines: list[str] = []
-    state = TrackState()
+    player_frames: list[PoseFrame] = []  # the ground truth is their slot tensor
 
     for t in range(T):
         poses = []
@@ -222,8 +226,7 @@ def generate_sample(spec: SyntheticSpec, label: int, rng: np.random.Generator) -
                 objects[t, s, :2] = ball + (5.0 * s, -5.0 * s)
                 objects[t, s, 2] = 1.0
 
-        frame = PoseFrame(t, [])
-        present = []
+        players = PoseFrame(t, [])
         for p in range(M):
             if rng.random() < spec.id_switch_prob:
                 player_ids[p] = next_id
@@ -232,19 +235,18 @@ def generate_sample(spec: SyntheticSpec, label: int, rng: np.random.Generator) -
                 clean[t] = 0.0
                 continue
             conf = float(np.clip(spec.player_conf + spec.conf_jitter * rng.standard_normal(), 0.05, 1.0))
-            present.append((p, player_ids[p]))
-            frame.detections.append(
-                Detection(player_ids[p], conf, poses[p], centers[p])
-            )
+            players.detections.append(Detection(player_ids[p], conf, poses[p], centers[p]))
+        player_frames.append(players)
+        detections = list(players.detections)
         for did, (dx, dy) in distractors:
             conf = float(np.clip(spec.distractor_conf + spec.conf_jitter * rng.standard_normal(), 0.05, 1.0))
             joints = np.zeros((V, 3))
             joints[:, 0] = dx
             joints[:, 1] = dy + 12.0 * np.arange(V)
             joints[:, 2] = 1.0
-            frame.detections.append(Detection(did, conf, joints, (dx, dy)))
+            detections.append(Detection(did, conf, joints, (dx, dy)))
 
-        for d in frame.detections:
+        for d in detections:
             lines.append(
                 json.dumps(
                     {
@@ -257,15 +259,7 @@ def generate_sample(spec: SyntheticSpec, label: int, rng: np.random.Generator) -
                 )
             )
 
-        # ground-truth slot map: the two-stage rule over the emitted player ids,
-        # which precede the distractors in the frame and never share their ids
-        state.update(frame)
-        gt_frame = PoseFrame(t, frame.detections[: len(present)])
-        assignment = reassign_frame(gt_frame, state, M) if gt_frame.detections else {}
-        id_to_person = {tid: p for p, tid in present}
-        for tid, slot in assignment.items():
-            skeleton[t, slot] = poses[id_to_person[tid]]
-
+    skeleton, _ = assemble_sequence(player_frames, M, V)
     return SyntheticSample(label, skeleton, objects, clean, lines)
 
 

@@ -8,7 +8,7 @@ T x (M*N') x 2C.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,12 +24,7 @@ class FeatureBundle:
     bone_motion: np.ndarray
 
     def streams(self) -> dict[str, np.ndarray]:
-        return {
-            "joint": self.joint,
-            "bone": self.bone,
-            "joint_motion": self.joint_motion,
-            "bone_motion": self.bone_motion,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def bone_parents(topology: GraphTopology) -> np.ndarray:
@@ -115,20 +110,14 @@ def bone_vectors(x: np.ndarray, topology: GraphTopology) -> np.ndarray:
     return x - x[:, :, parents, :]
 
 
-def _temporal_diffs(x: np.ndarray) -> np.ndarray:
-    """Stack one-hop and two-hop forward differences, zero-padded at the tail."""
-    one = np.zeros_like(x)
-    two = np.zeros_like(x)
-    if x.shape[0] > 1:
-        one[:-1] = x[1:] - x[:-1]
-    if x.shape[0] > 2:
-        two[:-2] = x[2:] - x[:-2]
-    return np.concatenate([one, two], axis=-1)
-
-
 def motion_stream(x: np.ndarray) -> np.ndarray:
-    """One- and two-hop motion of joints, or of bone vectors, flattened to (T, M*N', 2C)."""
-    return _flatten(_temporal_diffs(x))
+    """One- and two-hop forward differences of joints, or of bone vectors, zero-padded
+    at the tail and flattened to (T, M*N', 2C)."""
+    C = x.shape[-1]
+    out = np.zeros(x.shape[:-1] + (2 * C,), dtype=x.dtype)
+    out[:-1, ..., :C] = x[1:] - x[:-1]
+    out[:-2, ..., C:] = x[2:] - x[:-2]
+    return _flatten(out)
 
 
 def build_feature_bundle(x: np.ndarray, topology: GraphTopology) -> FeatureBundle:

@@ -1,7 +1,7 @@
 """The full network: four input branches, early-fusion main branch, classifier."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,16 +13,17 @@ from .layers import Linear
 STREAM_ORDER = ("joint", "bone", "joint_motion", "bone_motion")
 
 # Output width of each block; input widths follow from the plan (see ModelConfig).
-DEFAULT_INPUT_BRANCH = [64, 64, 32]
-DEFAULT_MAIN_BRANCH = [128, 128, 128, 256, 256, 256]
+DEFAULT_INPUT_BRANCH = (64, 64, 32)
+DEFAULT_MAIN_BRANCH = (128, 128, 128, 256, 256, 256)
 STRIDED_MAIN_BLOCK = 3  # the main block whose TCN halves the frame count
 
 
 @dataclass
 class ModelConfig:
-    """Graph size, class count and per-block output widths of an MPGCN.
+    """Graph size, class count and channel divisor of an MPGCN.
 
-    Block input widths are derived, not stored: the first input-branch block
+    Block output widths are the default plan divided by ``channel_divisor``
+    (at least 4). Block input widths follow: the first input-branch block
     reads the 2C stream channels, the first main block reads the four input
     branches concatenated (4x the last input-branch width), and every other
     block reads its predecessor's output.
@@ -34,8 +35,7 @@ class ModelConfig:
     num_frames: int
     num_classes: int
     in_channels: int = 3  # coordinate channels C; streams carry 2C
-    input_branch_channels: list[int] = field(default_factory=lambda: list(DEFAULT_INPUT_BRANCH))
-    main_branch_channels: list[int] = field(default_factory=lambda: list(DEFAULT_MAIN_BRANCH))
+    channel_divisor: int = 1
 
     @property
     def nodes_per_person(self) -> int:
@@ -45,6 +45,14 @@ class ModelConfig:
     def num_nodes(self) -> int:
         return self.num_persons * self.nodes_per_person
 
+    @property
+    def input_branch_channels(self) -> list[int]:
+        return [max(c // self.channel_divisor, 4) for c in DEFAULT_INPUT_BRANCH]
+
+    @property
+    def main_branch_channels(self) -> list[int]:
+        return [max(c // self.channel_divisor, 4) for c in DEFAULT_MAIN_BRANCH]
+
     def validate(self) -> None:
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
@@ -53,19 +61,15 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.object_keypoints < 0:
             raise ConfigError(f"object_keypoints must be >= 0, got {self.object_keypoints}")
-        if not (self.input_branch_channels and self.main_branch_channels):
-            raise ConfigError("both branches need at least one block")
+        if self.channel_divisor < 1:
+            raise ConfigError(f"channel_divisor must be >= 1, got {self.channel_divisor}")
         for width in self.input_branch_channels + self.main_branch_channels:
-            if width < 4 or width % 4 != 0:
-                raise ConfigError(f"block output {width} not a positive multiple of 4 (TCN branches)")
+            if width % 4:
+                raise ConfigError(f"block output {width} not a multiple of 4 (TCN branches)")
 
     def scaled(self, divisor: int) -> "ModelConfig":
-        """Channel plan shrunk by an integer divisor (for tiny/desk-scale runs)."""
-        return replace(
-            self,
-            input_branch_channels=[max(c // divisor, 4) for c in self.input_branch_channels],
-            main_branch_channels=[max(c // divisor, 4) for c in self.main_branch_channels],
-        )
+        """This config with every block width divided by ``divisor`` (for tiny/desk-scale runs)."""
+        return replace(self, channel_divisor=divisor)
 
 
 class _BlockStack(Module):

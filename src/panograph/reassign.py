@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +68,23 @@ class TrackState:
             s[4] += y * y
 
     def spread(self, track_id: int) -> float:
-        return trajectory_spread(self._stats[track_id])
+        spread = trajectory_spread(self._stats[track_id])
+        if not math.isfinite(spread):  # centres too far apart for float64 moments
+            raise InputError(f"track {track_id}: trajectory spread is not finite")
+        return spread
 
 
 def trajectory_spread(stats: list[float]) -> float:
-    """Population std of x plus population std of y from running sums."""
+    """Population std of x plus population std of y from running sums.
+
+    Squares are products: float ``**`` raises OverflowError where ``*`` gives inf.
+    """
     t, sx, sy, sxx, syy = stats
     if t < 1:
         raise InputError("trajectory spread of an unobserved track")
-    vx = max(sxx / t - (sx / t) ** 2, 0.0)
-    vy = max(syy / t - (sy / t) ** 2, 0.0)
+    mx, my = sx / t, sy / t
+    vx = max(sxx / t - mx * mx, 0.0)
+    vy = max(syy / t - my * my, 0.0)
     return math.sqrt(vx) + math.sqrt(vy)
 
 
@@ -140,7 +147,6 @@ def reassign_frame(
 class AssignmentReport:
     slot_mean_track_len: list[float]
     dropped_per_frame: list[int]
-    slot_tracks: list[list[int | None]] = field(repr=False, default_factory=list)
 
 
 def mean_contiguous_run_length(track_seq: list[int | None]) -> float:
@@ -188,7 +194,7 @@ def assemble_sequence(
             data[t, slot] = by_id[tid].keypoints
             slot_tracks[slot][t] = tid
     means = [mean_contiguous_run_length(seq) for seq in slot_tracks]
-    return data, AssignmentReport(means, dropped, slot_tracks)
+    return data, AssignmentReport(means, dropped)
 
 
 def parse_jsonl(lines, num_joints: int) -> list[PoseFrame]:

@@ -309,13 +309,6 @@ def save_checkpoint(path: str, model: MPGCN, norm_stats: dict, graph_info: dict)
     data_io.write_tensor_container(path, tensors)
 
 
-def _has_type(value, hint) -> bool:
-    """value fits the type hint: bool is not an int, and list[X] checks every item."""
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_has_type(v, typing.get_args(hint)[0]) for v in value)
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
-
-
 def _read_config(path: str, tensors: dict) -> tuple[dict, dict]:
     """Pop and check the ``config`` entry: ModelConfig fields and the graph info."""
     if "config" not in tensors:
@@ -330,10 +323,8 @@ def _read_config(path: str, tensors: dict) -> tuple[dict, dict]:
     hints = typing.get_type_hints(ModelConfig)
     check_names(f"{path}: config keys", [f.name for f in dataclasses.fields(ModelConfig)], fields)
     for name, value in fields.items():
-        hint = hints[name]
-        if not _has_type(value, hint):
-            label = str(hint) if typing.get_origin(hint) else hint.__name__
-            raise FormatError(f"{path}: config: {name} must be {label}, got {value!r}")
+        if not isinstance(value, hints[name]) or isinstance(value, bool):  # bool is not an int
+            raise FormatError(f"{path}: config: {name} must be {hints[name].__name__}, got {value!r}")
     if not (
         isinstance(info, dict) and set(info) <= {"layout", "inter_variant"}
         and isinstance(info.get("layout"), str) and isinstance(info.get("inter_variant", ""), str)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from panograph import cli, data_io, features, graph, train
+from panograph.nn import STREAM_ORDER
 
 
 TRAIN_CONFIG = """\
@@ -137,12 +138,26 @@ class TestReassign:
         ("reassign", {"samples": [FILES], **ROSTER},
          {"samples/a.jsonl": json.dumps(DETECTION).replace('"id": 0', '"id": Infinity'), **TRUTH},
          "samples/a.jsonl: line 1: malformed record (cannot convert float infinity to integer)"),
+        ("reassign", {"samples": [FILES], **ROSTER},
+         {"samples/a.jsonl": json.dumps(DETECTION) + "\n" + json.dumps(
+             {**DETECTION, "t": 1, "bbox": [1e200, 0, 1, 1]}), **TRUTH},
+         "samples/a.jsonl: track 0: trajectory spread is not finite"),
+        ("reassign", {"samples": [FILES], **ROSTER},
+         {"samples/a.jsonl": json.dumps(DETECTION), "truth/a.pgt": {"clean": np.ones(1)}},
+         "truth/a.pgt: lacks entry 'objects'"),
+        ("features", {"samples": [{"id": "a"}], **GRAPH}, {"tensors/a.pgt": {"objects": np.zeros(1)}},
+         "tensors/a.pgt: lacks entry 'skeleton'"),
+        ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN},
+         {"train.cfg": "", "features/a.pgt": {k: np.zeros((4, 8, 6)) for k in STREAM_ORDER[:3]}},
+         "features/a.pgt: lacks entry 'bone_motion'"),
     ], ids=["features-layout", "reassign-jsonl", "reassign-persons", "features-sample-type",
             "train-classes", "eval-label", "features-persons-str", "train-classes-bool",
             "eval-label-float", "reassign-id-int", "reassign-jsonl-file", "reassign-truth-file",
             "features-tensor-file", "train-config-file", "train-feature-file",
             "eval-feature-file", "reassign-jsonl-utf8", "train-config-utf8",
-            "features-manifest-dir", "reassign-t-overflow", "reassign-id-infinity"])
+            "features-manifest-dir", "reassign-t-overflow", "reassign-id-infinity",
+            "reassign-spread-overflow", "reassign-truth-entry", "features-tensor-entry",
+            "train-feature-entry"])
     def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, files, error):
         """Each command checks the manifest keys it reads and their types before reading
         them, and a file it cannot read or decode names its path: exit 1 and one error
@@ -414,6 +429,8 @@ FUZZ_TARGETS = {  # mutated file -> seed, stages run on it in pipeline order
     "data/samples/s0000.jsonl": (1, ["reassign"]),
     "data/manifest.json": (2, ["reassign", "features", "train", "eval"]),
     "train.cfg": (3, ["train"]),
+    "data/truth/s0000.pgt": (4, ["reassign"]),
+    "data/tensors/s0000.pgt": (5, ["features"]),
 }
 
 

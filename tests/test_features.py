@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from panograph import features, graph
 from panograph.errors import ConfigError, ContractError
+from panograph.nn import STREAM_ORDER
 
 
 def random_skeleton(rng, T, M, Np, C=3):
@@ -179,6 +180,11 @@ class TestBundle:
         bundle = features.build_feature_bundle(x, topo)
         for stream in bundle.streams().values():
             assert stream.shape == (6, 10, 6)
+
+    def test_streams_in_model_order(self, topo):
+        """The bundle's fields are the streams, in the order the model takes them."""
+        x = random_skeleton(np.random.default_rng(9), 3, 2, 5)
+        assert tuple(features.build_feature_bundle(x, topo).streams()) == STREAM_ORDER
 
     def test_c2_shapes(self, topo):
         rng = np.random.default_rng(10)

@@ -55,9 +55,9 @@ class TestConfig:
         ({"num_persons": 0}, "num_persons must be >= 1, got 0"),
         ({"num_frames": -1}, "num_frames must be >= 1, got -1"),
         ({"object_keypoints": -1}, "object_keypoints must be >= 0, got -1"),
-        ({"main_branch_channels": []}, "both branches need at least one block"),
-        ({"input_branch_channels": [16, -8, 8]}, "block output -8 not a positive multiple of 4"),
-        ({"input_branch_channels": [16, 0, 8]}, "block output 0 not a positive multiple of 4"),
+        ({"channel_divisor": 0}, "channel_divisor must be >= 1, got 0"),
+        ({"channel_divisor": -4}, "channel_divisor must be >= 1, got -4"),
+        ({"channel_divisor": 3}, "block output 21 not a multiple of 4"),
     ])
     def test_sizes_must_be_positive(self, change, message):
         """A size no model can be built with (a checkpoint's config may carry one)."""

@@ -72,6 +72,14 @@ class TestSpread:
         with pytest.raises(InputError):
             reassign.trajectory_spread([0, 0, 0, 0, 0])
 
+    def test_overflowing_spread_names_the_track(self):
+        """A centre jump whose square overflows float64 is an input error, not OverflowError."""
+        state = reassign.TrackState()
+        for t, x in enumerate([0.0, 1e200]):
+            state.update(reassign.PoseFrame(t, [reassign.Detection(7, 1.0, np.zeros((2, 3)), (x, 0.0))]))
+        with pytest.raises(InputError, match="track 7: trajectory spread is not finite"):
+            state.spread(7)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)), min_size=1, max_size=40))
     @example([(0, 7852), (0, 7853), (0, 7854)])
@@ -220,9 +228,9 @@ class TestAssembleSequence:
         frames = [
             make_frame(t, [(1 if t < 3 else 3, 0.9, float(t), 0.0)]) for t in range(6)
         ]
-        _, report = reassign.assemble_sequence(frames, 2, 2)
+        tensor, report = reassign.assemble_sequence(frames, 2, 2)
         # slot 1 sees id 1 for 3 frames then id 3 for 3 frames
-        assert report.slot_tracks[1] == [1, 1, 1, 3, 3, 3]
+        assert np.array_equal(tensor[:, 1, 0, 0], np.arange(6.0))
         assert report.slot_mean_track_len[1] == pytest.approx(3.0)
 
     def test_empty_clip(self):

@@ -407,8 +407,7 @@ class TestEvaluateAndCheckpoints:
     @pytest.mark.parametrize(
         "change, named",
         [
-            ({"tcn_dilations": [1, 2], "input_branch_channels": [[6, 16], [16, 16], [16, 8]]},
-             "unknown ['tcn_dilations']"),
+            ({"tcn_dilations": [1, 2], "channel_divisor": 2}, "unknown ['tcn_dilations']"),
             ({"num_frames": None}, "missing ['num_frames']"),
         ],
     )
@@ -435,15 +434,14 @@ class TestEvaluateAndCheckpoints:
             ({"graph": ["chain"]}, "graph must be an object"),
             ({"num_persons": "2"}, "num_persons must be int, got '2'"),
             ({"num_classes": True}, "num_classes must be int, got True"),
-            ({"main_branch_channels": [8, "8"]}, "main_branch_channels must be list[int]"),
-            ({"input_branch_channels": 8}, "input_branch_channels must be list[int], got 8"),
+            ({"channel_divisor": "4"}, "channel_divisor must be int, got '4'"),
+            ({"channel_divisor": [4]}, "channel_divisor must be int, got [4]"),
             ({"num_classes": 1}, "need at least two classes"),
             ({"in_channels": 0}, "in_channels must be >= 1, got 0"),
-            ({"main_branch_channels": [32, -8, 32, 64, 64, 64]},
-             "block output -8 not a positive multiple of 4"),
+            ({"channel_divisor": 3}, "block output 21 not a multiple of 4"),
         ],
         ids=["no_layout", "unknown_layout", "variant_int", "graph_list", "persons_str",
-             "classes_bool", "width_str", "plan_int", "one_class", "no_channels", "width_negative"],
+             "classes_bool", "divisor_str", "divisor_list", "one_class", "no_channels", "divisor_3"],
     )
     def test_checkpoint_sidecar_types_checked(self, tmp_path, change, named):
         self.trained(tmp_path)
