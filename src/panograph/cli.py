@@ -66,7 +66,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_reassign(args) -> int:
-    manifest = data_io.load_manifest(args.data, ("num_persons", "num_joints"),
+    manifest = data_io.load_manifest(args.data, ("num_persons", "num_joints", "num_frames"),
                                      ("id", "jsonl", "truth"))
     tensor_dir = os.path.join(args.data, "tensors")
     os.makedirs(tensor_dir, exist_ok=True)
@@ -78,7 +78,8 @@ def cmd_reassign(args) -> int:
         try:
             frames = parse_jsonl(text.split("\n"), manifest["num_joints"])
             tensor, report = assemble_sequence(
-                frames, manifest["num_persons"], manifest["num_joints"], score_mode=args.score_mode
+                frames, manifest["num_persons"], manifest["num_joints"], score_mode=args.score_mode,
+                num_frames=manifest["num_frames"],
             )
             full = data_io.append_object_nodes(tensor, truth["objects"])
         except InputError as exc:
@@ -101,9 +102,10 @@ def cmd_features(args) -> int:
     os.makedirs(feat_dir, exist_ok=True)
 
     for entry in manifest["samples"]:
-        x = data_io.read_tensor_container(
-            os.path.join(args.data, "tensors", entry["id"] + ".pgt"), ("skeleton",)
-        )["skeleton"]
+        path = os.path.join(args.data, "tensors", entry["id"] + ".pgt")
+        x = data_io.read_tensor_container(path, ("skeleton",))["skeleton"]
+        if not np.isfinite(x).all():
+            raise InputError(f"{path}: entry 'skeleton' is not finite")
         if args.dims == 2:
             x = x[..., :2]
         bundle = features.build_feature_bundle(x, topo)

@@ -17,7 +17,12 @@ from .layers import (
 
 
 class _ConvBranch(Module):
-    """BN -> ReLU -> dilated 3x1 temporal conv on its slice of the TCN bottleneck output."""
+    """BN -> ReLU -> dilated 3x1 temporal conv on its slice of the TCN bottleneck output.
+
+    A training forward drops the conv's im2col; backward rebuilds the ReLU output
+    from the BN's cached x_hat by the forward's own operations, in workspace
+    buffer "tcn.relu", and hands it back to the conv for its backward only.
+    """
 
     def __init__(self, branch_channels, rng, stride, dilation):
         super().__init__()
@@ -29,10 +34,17 @@ class _ConvBranch(Module):
         )
 
     def forward(self, y, training=False):
-        return self.tconv.forward(self.relu.forward(self.bn.forward(y, training), training), training)
+        out = self.tconv.forward(self.relu.forward(self.bn.forward(y, training), training), training)
+        if training:
+            self.tconv.hold_input(None)
+        return out
 
     def backward(self, grad_out):
-        return self.bn.backward(self.relu.backward(self.tconv.backward(grad_out)))
+        r = self.bn.affine(WORKSPACE.get("tcn.relu", self.bn._saved()[0].shape))
+        self.tconv.hold_input(np.maximum(r, 0.0, out=r))
+        g = self.tconv.backward(grad_out)
+        self.tconv.hold_input(None)
+        return self.bn.backward(self.relu.backward(g))
 
 
 class _PoolBranch(Module):

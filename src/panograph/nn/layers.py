@@ -73,7 +73,8 @@ class TemporalConv(Module):
 
     Symmetric zero padding keeps T_out = ceil(T / stride). The im2col
     buffer is filled tap by tap from frame slices; only the out-of-clip
-    edges are zeroed.
+    edges are zeroed. A training forward caches the im2col; ``hold_input``
+    rebuilds it from the input into the workspace, for a caller that drops it.
     """
 
     def __init__(self, in_channels, out_channels, rng, stride=1, dilation=1):
@@ -84,18 +85,28 @@ class TemporalConv(Module):
         shape = (out_channels, in_channels, self.kernel)
         self.w = self.param("w", kaiming_uniform(rng, shape, in_channels * self.kernel))
 
-    def forward(self, x, training=False):
+    def _im2col(self, x, name=None):
+        """The training cache: x's (B, C * 3, T_out * N) windows (in workspace buffer
+        ``name`` if given, else a fresh array), T and the taps."""
         B, C, T, N = x.shape
         T_out, taps = _frame_taps(T, self.stride, (-self.dilation, 0, self.dilation))
-        xw = np.empty((B, C, self.kernel, T_out, N), dtype=x.dtype)
+        shape = (B, C, self.kernel, T_out, N)
+        xw = np.empty(shape, dtype=x.dtype) if name is None else WORKSPACE.get(name, shape)
         for k, (t, f) in enumerate(taps):
             xw[:, :, k, t] = x[:, :, f]
             xw[:, :, k, : t.start] = 0.0
             xw[:, :, k, t.stop :] = 0.0
-        xw2 = xw.reshape(B, C * self.kernel, T_out * N)
-        self._cache = (xw2, T, taps) if training else None
-        O = self.w.shape[0]
-        return (self.w.reshape(O, -1) @ xw2).reshape(B, O, T_out, N)
+        return xw.reshape(B, C * self.kernel, T_out * N), T, taps
+
+    def forward(self, x, training=False):
+        cache = self._im2col(x)
+        self._cache = cache if training else None  # panobench's flop count reads _cache[0].shape
+        B, O, N = len(x), self.w.shape[0], x.shape[3]
+        return (self.w.reshape(O, -1) @ cache[0]).reshape(B, O, -1, N)
+
+    def hold_input(self, x):
+        """Cache the im2col of x, rebuilt in workspace buffer "tcn.cols", or drop it (None)."""
+        self._cache = None if x is None else self._im2col(x, "tcn.cols")
 
     def backward(self, grad_out):
         xw2, T, taps = self._saved()

@@ -170,25 +170,34 @@ def assemble_sequence(
     num_slots: int,
     num_joints: int,
     score_mode: str = "conf+activeness",
+    *,
+    num_frames: int | None = None,
 ) -> tuple[np.ndarray, AssignmentReport]:
     """Run reassignment over a clip and densify to a T x M x V x 3 tensor.
 
-    Absent slots are zero-filled. The report carries the per-slot mean
-    contiguous track length and the per-frame count of dropped detections.
+    T is ``num_frames`` (default: one frame per given frame, and at least
+    one), and each frame fills row ``frame_index``; an index outside [0, T)
+    raises InputError. Absent slots and rows without a frame are zero-filled.
+    The report carries the per-slot mean contiguous track length and the
+    per-frame count of dropped detections.
     """
-    if not frames:
+    if not frames and num_frames is None:
         raise InputError("empty frame list")
     frames = sorted(frames, key=lambda f: f.frame_index)
-    T = len(frames)
+    T = len(frames) if num_frames is None else num_frames
+    for f in frames[:1] + frames[-1:]:
+        if not 0 <= f.frame_index < T:
+            raise InputError(f"frame {f.frame_index} outside a clip of {T} frames")
     data = np.zeros((T, num_slots, num_joints, 3))
     state = TrackState()
     slot_tracks: list[list[int | None]] = [[None] * T for _ in range(num_slots)]
-    dropped = []
-    for t, frame in enumerate(frames):
+    dropped = [0] * T
+    for frame in frames:
+        t = frame.frame_index
         frame.validate(num_joints)
         state.update(frame)
         assignment = reassign_frame(frame, state, num_slots, score_mode)
-        dropped.append(len(frame.detections) - len(assignment))
+        dropped[t] = len(frame.detections) - len(assignment)
         by_id = {d.track_id: d for d in frame.detections}
         for tid, slot in assignment.items():
             data[t, slot] = by_id[tid].keypoints

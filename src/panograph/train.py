@@ -117,12 +117,16 @@ def stack_batch(ds: Dataset, indices, norm_stats=None) -> list[np.ndarray]:
 
 
 def compute_norm_stats(ds: Dataset, indices) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-channel z-score statistics over the training split."""
+    """Per-channel z-score statistics over the training split; InputError naming the
+    stream if a mean or std is not finite (a coordinate near 1e200 overflows the std)."""
     stats = {}
     for key in STREAM_ORDER:
         x = np.stack([ds.streams[i][key] for i in indices])
-        mean = x.mean(axis=(0, 1, 2))
-        std = x.std(axis=(0, 1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x.mean(axis=(0, 1, 2))
+            std = x.std(axis=(0, 1, 2))
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise InputError(f"stream {key!r}: mean or std over the training split is not finite")
         std[std < 1e-8] = 1.0
         stats[key] = (mean, std)
     return stats

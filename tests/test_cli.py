@@ -4,9 +4,11 @@ import json
 import os
 import shutil
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panograph import cli, data_io, features, graph, train
 from panograph.nn import STREAM_ORDER
@@ -95,7 +97,7 @@ class TestReassign:
 
     GRAPH = {"layout": "chain", "num_persons": 2, "num_joints": 3, "num_objects": 1}
     TRAIN = {**GRAPH, "num_frames": 4, "num_classes": 2}
-    ROSTER = {"num_joints": 2, "num_persons": 2}
+    ROSTER = {"num_joints": 2, "num_persons": 2, "num_frames": 2}
     FILES = {"id": "a", "jsonl": "samples/a.jsonl", "truth": "truth/a.pgt"}
     DETECTION = {"t": 0, "id": 0, "conf": 1.0, "bbox": [0, 0, 1, 1], "kpts": [[0, 0, 1]] * 2}
     TRUTH = {"truth/a.pgt": {"objects": np.zeros((1, 0, 3))}}
@@ -103,7 +105,7 @@ class TestReassign:
 
     @pytest.mark.parametrize("command,manifest,files,error", [
         ("features", {"samples": []}, {}, "manifest.json: lacks key 'layout'"),
-        ("reassign", {"samples": [{"id": "a"}], "num_joints": 5, "num_persons": 2}, {},
+        ("reassign", {"samples": [{"id": "a"}], "num_joints": 5, "num_persons": 2, "num_frames": 2}, {},
          "manifest.json: sample 0 lacks key 'jsonl'"),
         ("reassign", {"samples": [], "num_joints": 5}, {}, "manifest.json: lacks key 'num_persons'"),
         ("features", {"samples": [{"id": "a"}, 3], **GRAPH}, {},
@@ -150,6 +152,18 @@ class TestReassign:
         ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN},
          {"train.cfg": "", "features/a.pgt": {k: np.zeros((4, 8, 6)) for k in STREAM_ORDER[:3]}},
          "features/a.pgt: lacks entry 'bone_motion'"),
+        ("reassign", {"samples": [], "num_joints": 2, "num_persons": 2}, {},
+         "manifest.json: lacks key 'num_frames'"),
+        ("reassign", {"samples": [FILES], **ROSTER},
+         {"samples/a.jsonl": json.dumps({**DETECTION, "t": 2}), **TRUTH},
+         "samples/a.jsonl: frame 2 outside a clip of 2 frames"),
+        ("features", {"samples": [{"id": "a"}], **GRAPH},
+         {"tensors/a.pgt": {"skeleton": np.full((4, 2, 4, 3), np.nan)}},
+         "tensors/a.pgt: entry 'skeleton' is not finite"),
+        ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN},
+         {"train.cfg": "", "features/a.pgt": {
+             k: np.pad(np.full((1, 1, 1), 1e200), ((0, 3), (0, 7), (0, 5))) for k in STREAM_ORDER}},
+         "error: stream 'joint': mean or std over the training split is not finite"),
     ], ids=["features-layout", "reassign-jsonl", "reassign-persons", "features-sample-type",
             "train-classes", "eval-label", "features-persons-str", "train-classes-bool",
             "eval-label-float", "reassign-id-int", "reassign-jsonl-file", "reassign-truth-file",
@@ -157,12 +171,13 @@ class TestReassign:
             "eval-feature-file", "reassign-jsonl-utf8", "train-config-utf8",
             "features-manifest-dir", "reassign-t-overflow", "reassign-id-infinity",
             "reassign-spread-overflow", "reassign-truth-entry", "features-tensor-entry",
-            "train-feature-entry"])
+            "train-feature-entry", "reassign-frames", "reassign-frame-index",
+            "features-tensor-nan", "train-stats-overflow"])
     def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, files, error):
         """Each command checks the manifest keys it reads and their types before reading
         them, and a file it cannot read or decode names its path: exit 1 and one error
         line. A manifest of None makes ``manifest.json`` a directory; a file given as a
-        dict is a tensor container."""
+        dict is a tensor container. An error that names no file is the whole line."""
         if manifest is None:
             (tmp_path / "manifest.json").mkdir()
         else:
@@ -177,7 +192,45 @@ class TestReassign:
                  "eval": ["--ckpt", str(tmp_path / "none.pgt")]}.get(command, [])
         assert cli.main([command, "--data", str(tmp_path)] + extra) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {tmp_path}/{error}"]
+        assert err == [error if error.startswith("error: ") else f"error: {tmp_path}/{error}"]
+
+    def test_coordinate_near_1e200_stops_train(self, tmp_path, capsys):
+        """A slot coordinate of 1e200 is finite, so features takes it; its square
+        overflows the joint stream's std, and train stops before any epoch."""
+        data = str(tmp_path / "data")
+        assert cli.main(["synth", "--classes", "2", "--per-class", "2", "--persons", "2",
+                         "--joints", "3", "--frames", "4", "--out", data]) == 0
+        assert cli.main(["reassign", "--data", data]) == 0
+        path = os.path.join(data, "tensors", "s0000.pgt")
+        tensor = data_io.read_tensor_container(path)["skeleton"]
+        tensor[0, 0, 0, 0] = 1e200
+        data_io.write_tensor_container(path, {"skeleton": tensor})
+        assert cli.main(["features", "--data", data]) == 0
+        (tmp_path / "train.cfg").write_text(TRAIN_CONFIG)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(tmp_path / "train.cfg"), "--data", data,
+                         "--out", str(tmp_path / "run")]) == 1
+        out, err = capsys.readouterr()
+        assert '"epoch"' not in out
+        assert err.splitlines() == [
+            "error: stream 'joint': mean or std over the training split is not finite"]
+        assert not os.path.exists(tmp_path / "run" / "ckpt_final.pgt")
+
+    def test_high_dropout_keeps_every_frame(self, tmp_path):
+        """Frames without a detection stay in the clip: at dropout 0.9, reassign and
+        features write 8-frame tensors."""
+        data = str(tmp_path / "data")
+        assert cli.main(["synth", "--classes", "2", "--per-class", "2", "--persons", "2",
+                         "--joints", "3", "--frames", "8", "--distractors", "0",
+                         "--dropout", "0.9", "--out", data]) == 0
+        assert cli.main(["reassign", "--data", data]) == 0
+        assert cli.main(["features", "--data", data]) == 0
+        for entry in data_io.load_manifest(data)["samples"]:
+            x = data_io.read_tensor_container(os.path.join(data, "tensors", entry["id"] + ".pgt"))
+            assert x["skeleton"].shape == (8, 2, 4, 3)
+            streams = data_io.read_tensor_container(
+                os.path.join(data, "features", entry["id"] + ".pgt"))
+            assert all(s.shape == (8, 8, 6) and np.isfinite(s).all() for s in streams.values())
 
     def test_non_finite_record_exits_1(self, tmp_path, capsys):
         data = str(tmp_path / "data")
@@ -457,3 +510,30 @@ def test_byte_mutation_exits_0_or_1(fuzz_base, tmp_path, capsys, target):
                 assert len(err.splitlines()) == 1 and err.startswith("error:"), f"{what}\n{err}"
                 break
         shutil.rmtree(work)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(persons=st.integers(1, 4), joints=st.integers(1, 6), objects=st.integers(0, 2),
+       frames=st.integers(1, 12), dropout=st.floats(0, 1), id_switch=st.floats(0, 0.5),
+       distractors=st.integers(0, 3), jitter=st.floats(0, 0.3))
+def test_ingest_takes_any_synthetic_spec(persons, joints, objects, frames, dropout, id_switch,
+                                         distractors, jitter):
+    """synth -> reassign -> features exits 0 over the spec space, dropout 1 included: every
+    slot tensor has the manifest's frames and every stream is finite, of its shape."""
+    with tempfile.TemporaryDirectory() as root:
+        data = os.path.join(root, "data")
+        argv = ["synth", "--classes", "2", "--per-class", "1", "--persons", str(persons),
+                "--joints", str(joints), "--objects", str(objects), "--frames", str(frames),
+                "--dropout", repr(dropout), "--id-switch", repr(id_switch),
+                "--distractors", str(distractors), "--conf-jitter", repr(jitter), "--out", data]
+        assert cli.main(argv) == 0
+        assert cli.main(["reassign", "--data", data]) == 0
+        assert cli.main(["features", "--data", data]) == 0
+        nodes = joints + objects
+        for entry in data_io.load_manifest(data)["samples"]:
+            x = data_io.read_tensor_container(os.path.join(data, "tensors", entry["id"] + ".pgt"))
+            assert x["skeleton"].shape == (frames, persons, nodes, 3)
+            streams = data_io.read_tensor_container(
+                os.path.join(data, "features", entry["id"] + ".pgt"))
+            for stream in streams.values():
+                assert stream.shape == (frames, persons * nodes, 6) and np.isfinite(stream).all()

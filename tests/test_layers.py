@@ -19,6 +19,7 @@ from panograph.nn import (
     STPAttention,
     TemporalConv,
 )
+from panograph.nn.blocks import _ConvBranch
 from panograph.nn.core import WORKSPACE, kaiming_uniform
 
 
@@ -550,6 +551,34 @@ class TestMultiScaleTCN:
         assert all(np.array_equal(a, e) for a, e in zip(got, expected))
         assert built.random() == drawn.random()
 
+    @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 2)])
+    def test_conv_branch_matches_its_layers_standalone(self, stride, dilation):
+        """A conv branch that drops its im2col and rebuilds it in backward gives, bit for
+        bit, the output and gradients of its BN, ReLU and TemporalConv run standalone."""
+        rng = np.random.default_rng(44)
+        branch = _ConvBranch(3, rng, stride, dilation)
+        layers = BatchNorm(3), ReLU(), TemporalConv(3, 3, rng, stride=stride, dilation=dilation)
+        for p in (layers[0].gamma, layers[0].beta, layers[2].w):
+            p[...] = rng.standard_normal(p.shape)
+        branch.bn.gamma[...], branch.bn.beta[...] = layers[0].gamma, layers[0].beta
+        branch.tconv.w[...] = layers[2].w
+        y = rng.standard_normal((2, 3, 7, 4))
+        out = branch.forward(y, training=True)
+        expected = y
+        for layer in layers:
+            expected = layer.forward(expected, training=True)
+        assert np.array_equal(out, expected)
+        g = rng.standard_normal(out.shape)
+        gy = branch.backward(g)
+        for layer in reversed(layers):
+            g = layer.backward(g)
+        assert np.array_equal(gy, g)
+        grads = dict(branch.named_grads())
+        assert grads.keys() == {"bn.gamma", "bn.beta", "tconv.w"}
+        assert np.array_equal(grads["bn.gamma"], layers[0]._grads["gamma"])
+        assert np.array_equal(grads["bn.beta"], layers[0]._grads["beta"])
+        assert np.array_equal(grads["tconv.w"], layers[2]._grads["w"])
+
     def test_stride_halves_frames(self):
         tcn = MultiScaleTCN(2, 4, np.random.default_rng(10), stride=2)
         assert tcn.forward(np.zeros((1, 2, 8, 3))).shape == (1, 4, 4, 3)
@@ -713,11 +742,18 @@ class TestBasicBlock:
         x = rng.standard_normal((2, 4, 6, 6))
         return block, x, block.forward(x, training=True), rng
 
+    @staticmethod
+    def conv_branches(block):
+        return [b for b in block.tcn.branches if hasattr(b, "tconv")]
+
     def test_training_forward_keeps_no_y1_or_y2(self):
-        """tcn, att and res2 hold no input, while every freeze state and x stay."""
+        """tcn, att, res2 and the conv branches' tconv hold no input, while every freeze
+        state and x stay."""
         block, x, *_ = self.strided_block(40)
         assert block._cache is x
         assert block.tcn._cache is None and block.res2._cache is None
+        assert len(self.conv_branches(block)) == 2
+        assert all(b.tconv._cache is None for b in self.conv_branches(block))
         assert block.att._cache[0] is None and block.att._cache[-1].dtype == bool
         assert block.relu1._cache.dtype == bool and block.relu2._cache.dtype == bool
         assert all(b.relu._cache.dtype == bool for b in block.tcn.branches)
@@ -728,6 +764,24 @@ class TestBasicBlock:
         block.backward(rng.standard_normal(out.shape))
         assert block.tcn._cache is None and block.res2._cache is None
         assert block.att._cache[0] is None
+        assert all(b.tconv._cache is None for b in self.conv_branches(block))
+
+    def test_tconv_backward_sees_its_im2col(self, monkeypatch):
+        """While a conv branch's tconv.backward runs, and at its return, the tconv holds
+        its rebuilt (B, C * 3, T_out * N) im2col in _cache[0], as a span wrapper reads it."""
+        block, _, out, rng = self.strided_block(45)
+        seen = []
+        backward = TemporalConv.backward
+
+        def wrapped(layer, grad_out):
+            gx = backward(layer, grad_out)
+            seen.append(layer._cache[0].shape)
+            return gx
+
+        monkeypatch.setattr(TemporalConv, "backward", wrapped)
+        block.backward(rng.standard_normal(out.shape))
+        bc = block.tcn.branch_channels
+        assert seen == [(2, bc * 3, 3 * 6)] * 2  # B=2, T_out=3 at stride 2, N=6
 
     def test_frozen_forward_after_backward(self):
         """forward -> backward -> freeze_kinks -> frozen forward, the desk FD path."""

@@ -237,6 +237,28 @@ class TestAssembleSequence:
         with pytest.raises(InputError):
             reassign.assemble_sequence([], 2, 2)
 
+    def test_frames_sit_at_their_index(self):
+        """With num_frames, frame t fills row t: missing frames are zero rows that break
+        a track's run, and a clip with no detection at all is all zeros."""
+        frames = [make_frame(t, [(1, 0.9, float(t + 1), 0.0)]) for t in (1, 2, 5)]
+        tensor, report = reassign.assemble_sequence(frames, 2, 2, num_frames=7)
+        assert tensor.shape == (7, 2, 2, 3)
+        assert np.array_equal(tensor[:, 1, 0, 0], [0.0, 2.0, 3.0, 0.0, 0.0, 6.0, 0.0])
+        assert not tensor[:, 0].any()
+        assert report.slot_mean_track_len[1] == pytest.approx(1.5)  # runs of 2 and 1
+        assert report.dropped_per_frame == [0] * 7
+        empty, report = reassign.assemble_sequence([], 2, 2, num_frames=3)
+        assert empty.shape == (3, 2, 2, 3) and not empty.any()
+        assert report.slot_mean_track_len == [0.0, 0.0]
+
+    @pytest.mark.parametrize("t, num_frames", [(4, 4), (-1, 4), (1, None)])
+    def test_frame_index_outside_the_clip(self, t, num_frames):
+        """An index outside [0, num_frames) raises; by default a clip has one frame per
+        given frame, so a lone frame 1 is outside it."""
+        with pytest.raises(InputError, match=f"frame {t} outside a clip of"):
+            reassign.assemble_sequence([make_frame(t, [(1, 0.9, 0.0, 0.0)])], 2, 2,
+                                       num_frames=num_frames)
+
     def test_determinism(self):
         frames = [
             make_frame(t, [(1, 0.7, float(t), 0.0), (2, 0.7, 0.0, float(t))])
