@@ -104,11 +104,12 @@ def cmd_features(args) -> int:
     for entry in manifest["samples"]:
         path = os.path.join(args.data, "tensors", entry["id"] + ".pgt")
         x = data_io.read_tensor_container(path, ("skeleton",))["skeleton"]
-        if not np.isfinite(x).all():
-            raise InputError(f"{path}: entry 'skeleton' is not finite")
         if args.dims == 2:
             x = x[..., :2]
-        bundle = features.build_feature_bundle(x, topo)
+        try:
+            bundle = features.build_feature_bundle(x, topo)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
         data_io.write_tensor_container(
             os.path.join(feat_dir, entry["id"] + ".pgt"), bundle.streams()
         )
@@ -124,10 +125,22 @@ TRAIN_CONFIG_KEYS = {
 
 
 def _load_dataset(data_dir, manifest) -> train.Dataset:
+    """Every sample's streams and label. All streams share one (frames, nodes, channels)
+    shape, the first sample's joint stream's; InputError names the first file that differs."""
     streams, labels = [], []
     for entry in manifest["samples"]:
         path = os.path.join(data_dir, "features", entry["id"] + ".pgt")
-        streams.append(data_io.read_tensor_container(path, STREAM_ORDER))
+        sample = data_io.read_tensor_container(path, STREAM_ORDER)
+        want = (streams[0] if streams else sample)[STREAM_ORDER[0]].shape
+        for key in STREAM_ORDER:
+            shape = sample[key].shape
+            if len(shape) != 3:
+                raise InputError(f"{path}: stream {key!r} has shape {shape}, "
+                                 "expected (frames, nodes, channels)")
+            if shape != want:
+                raise InputError(f"{path}: stream {key!r} has shape {shape}, "
+                                 f"the first sample's streams {want}")
+        streams.append(sample)
         labels.append(entry["label"])
     return train.Dataset(streams, np.array(labels, dtype=int))
 

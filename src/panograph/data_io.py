@@ -27,11 +27,7 @@ _DTYPE_TAGS = {np.dtype("float32"): 0, np.dtype("float64"): 1, np.dtype("uint8")
 def write_tensor_container(path: str, tensors: dict[str, np.ndarray]) -> None:
     """Atomically write named tensors; float32, float64 or uint8, anything else as float64."""
     chunks = [MAGIC, struct.pack("<I", len(tensors))]
-    seen = set()
     for name, arr in tensors.items():
-        if name in seen:
-            raise FormatError(f"duplicate tensor name {name!r}")
-        seen.add(name)
         arr = np.asarray(arr)
         if arr.dtype not in _DTYPE_TAGS:
             arr = arr.astype(np.float64)
@@ -76,8 +72,9 @@ def read_input(path: str, text: bool = True) -> str | bytes:
 
 
 def read_tensor_container(path: str, require: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
-    """Every entry by name; FormatError names the path and what is malformed,
-    or the first name in ``require`` that has no entry."""
+    """Every entry by name; FormatError names the path and what is malformed (names
+    repeat, a float entry holds NaN or inf), or the first name in ``require`` that has
+    no entry."""
     data = read_input(path, text=False)
     if data[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
@@ -114,6 +111,8 @@ def read_tensor_container(path: str, require: tuple[str, ...] = ()) -> dict[str,
             out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
         except ValueError as exc:  # a rank over numpy's limit, or a zero dim beside huge ones
             raise FormatError(f"{path}: entry {name!r} has shape {dims}: {exc}") from exc
+        if dtype.kind == "f" and not np.isfinite(out[name]).all():
+            raise FormatError(f"{path}: entry {name!r} is not finite")
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes after {count} entries")
     for name in require:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, InputError
 from .graph import GraphTopology
 
 
@@ -86,10 +86,13 @@ def bone_stream(x: np.ndarray, bones: np.ndarray) -> np.ndarray:
 
     Angles are arccos(b_c / ||b||) over the x,y components; a zero-length
     bone gets pi/2. With C=3 the visibility value is carried through as the
-    third angle channel.
+    third angle channel. InputError if a length overflows (a coordinate near 1e154).
     """
     C = x.shape[-1]
-    norm = np.sqrt((bones[..., :2] ** 2).sum(axis=-1, keepdims=True))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((bones[..., :2] ** 2).sum(axis=-1, keepdims=True))
+    if not np.isfinite(norm).all():
+        raise InputError("a bone length is not finite")
     # zero-length bones leave ratio at 0, so arccos gives the pi/2 convention
     ratio = np.divide(bones[..., :2], norm, out=np.zeros_like(bones[..., :2]), where=norm > 0)
     angles = np.empty_like(bones)

@@ -16,12 +16,20 @@ from .layers import (
 )
 
 
+def _rebuild(name, bn, x=None, res=None):
+    """relu(bn's training output, plus x or res(x) if x is given) as the forward made it,
+    from bn's cached x_hat, in workspace buffer ``name``; res re-caches x."""
+    y = bn.affine(WORKSPACE.get(name, bn._saved()[0].shape))
+    if x is not None:
+        y += x if res is None else res.forward(x, training=True)
+    return np.maximum(y, 0.0, out=y)
+
+
 class _ConvBranch(Module):
     """BN -> ReLU -> dilated 3x1 temporal conv on its slice of the TCN bottleneck output.
 
     A training forward drops the conv's im2col; backward rebuilds the ReLU output
-    from the BN's cached x_hat by the forward's own operations, in workspace
-    buffer "tcn.relu", and hands it back to the conv for its backward only.
+    (``_rebuild`` into "tcn.relu") and hands it back to the conv for its backward only.
     """
 
     def __init__(self, branch_channels, rng, stride, dilation):
@@ -40,8 +48,7 @@ class _ConvBranch(Module):
         return out
 
     def backward(self, grad_out):
-        r = self.bn.affine(WORKSPACE.get("tcn.relu", self.bn._saved()[0].shape))
-        self.tconv.hold_input(np.maximum(r, 0.0, out=r))
+        self.tconv.hold_input(_rebuild("tcn.relu", self.bn))
         g = self.tconv.backward(grad_out)
         self.tconv.hold_input(None)
         return self.bn.backward(self.relu.backward(g))
@@ -93,7 +100,7 @@ class MultiScaleTCN(Module):
         self.branches = [self.add(f"b{i}", b) for i, b in enumerate((b0, b1, b2))]
 
     def forward(self, x, training=False):
-        self._cache, bc = x if training else None, self.branch_channels
+        self._cache, bc = (x,) if training else None, self.branch_channels
         B, C, T, N = x.shape
         y = (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
         # eval BN and ReLU work in place on the disjoint channel slices of the fresh y;
@@ -102,7 +109,7 @@ class MultiScaleTCN(Module):
         return np.concatenate(outs + [y[:, 3 * bc :, :: self.stride]], axis=1)
 
     def backward(self, grad_out):
-        x, bc, s = self._saved(), self.branch_channels, self.stride
+        (x,), bc, s = self._saved(), self.branch_channels, self.stride
         B, C, T, N = x.shape
         gy = WORKSPACE.get("grad", (B, 4 * bc, T, N))  # stale: every entry is written below
         for i, b in enumerate(self.branches):
@@ -177,15 +184,9 @@ class BasicBlock(Module):
         for child in filter(None, (self.tcn, self.att, self.res2)):
             child.hold_input(None)
 
-    def _rebuild(self, name, bn, res, x):
-        """relu(bn's output + res(x)) as the forward made it, in the workspace; res re-caches x."""
-        y = bn.affine(WORKSPACE.get(name, (len(x), bn.gamma.size, *x.shape[2:])))
-        y += x if res is None else res.forward(x, training=True)
-        return np.maximum(y, 0.0, out=y)
-
     def backward(self, grad_out):
-        y1 = self._rebuild("block.y1", self.bn1, self.res1, self._saved())
-        y2 = self._rebuild("block.y2", self.bn2, self.res2, y1[:, :, :: self.stride])
+        y1 = _rebuild("block.y1", self.bn1, self._saved(), self.res1)
+        y2 = _rebuild("block.y2", self.bn2, y1[:, :, :: self.stride], self.res2)
         self.tcn.hold_input(y1)
         self.att.hold_input(y2)
         gy2 = self.att.backward(grad_out)

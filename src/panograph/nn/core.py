@@ -90,9 +90,9 @@ class Module:
         raise NotImplementedError
 
     def hold_input(self, x) -> None:
-        """Put back the input a training forward cached, or drop it (None): for a block
-        that rebuilds it. The rest of the cache stays."""
-        self._cache = x
+        """Put back the input a training forward cached as ``_cache[0]``, or drop it (None):
+        for a block that rebuilds it. The rest of the cache stays."""
+        self._cache = (x,) + self._saved()[1:]
 
     def _saved(self):
         """``_cache`` for backward; ContractError if the last forward was eval."""

@@ -37,9 +37,6 @@ class Conv1x1(Module):
         B, C, T, N = x.shape
         return (self.w @ x.reshape(B, C, T * N)).reshape(B, -1, T, N)
 
-    def hold_input(self, x):
-        self._cache = None if x is None else (x,)
-
     def backward(self, grad_out):
         (x,) = self._saved()
         B, O, T, N = grad_out.shape
@@ -428,18 +425,13 @@ class STPAttention(Module):
         person_score, frame_score = score[:, :M], score[:, M:]  # (B, M), (B, T)
         att = frame_score[:, :, None] * person_score[:, None, :]  # (B, T, M)
         out = x * np.repeat(att, Np, axis=2)[:, None]  # the (B, T, N) scale, over channels
-        self._cache = (x.reshape(B, C, T, M, Np), z, h, person_score, frame_score, att, mask
-                       ) if training else None
+        self._cache = (x, z, h, person_score, frame_score, att, mask) if training else None
         return out
 
-    def hold_input(self, x):
-        x5 = None if x is None else x.reshape(*x.shape[:3], self.M, self.Np)
-        self._cache = (x5,) + self._saved()[1:]
-
     def backward(self, grad_out):
-        x5, z, h, ps, fs, att, mask = self._saved()
-        B, C, T, M, Np = x5.shape
-        g5 = grad_out.reshape(B, C, T, M, Np)
+        x, z, h, ps, fs, att, mask = self._saved()
+        B, C, T, M, Np = *x.shape[:3], self.M, self.Np
+        x5, g5 = x.reshape(B, C, T, M, Np), grad_out.reshape(B, C, T, M, Np)
         gx5 = g5 * att[:, None, :, :, None]
         gatt = (g5 * x5).sum(axis=(1, 4))  # (B, T, M)
         gfs = (gatt * ps[:, None, :]).sum(axis=2)

@@ -141,12 +141,19 @@ def _batches(indices: np.ndarray, batch_size: int):
         yield indices[start : start + batch_size]
 
 
-def _check_dataset(ds: Dataset, num_classes: int) -> None:
+def _check_dataset(ds: Dataset, cfg: ModelConfig) -> None:
+    """InputError unless ``ds`` has samples, labels below cfg's class count and (as far as
+    its first sample shows) streams of cfg's node and channel counts."""
     if len(ds) == 0:
         raise InputError("empty dataset")
     for label in (ds.labels.min(), ds.labels.max()):
-        if not 0 <= label < num_classes:
-            raise InputError(f"label {int(label)} out of range for {num_classes} classes")
+        if not 0 <= label < cfg.num_classes:
+            raise InputError(f"label {int(label)} out of range for {cfg.num_classes} classes")
+    for key in STREAM_ORDER:
+        shape = ds.streams[0][key].shape
+        if shape[1:] != (cfg.num_nodes, 2 * cfg.in_channels):
+            raise InputError(f"stream {key!r} has shape {shape}, the model takes "
+                             f"(frames, {cfg.num_nodes}, {2 * cfg.in_channels})")
 
 
 def build_model(cfg: ModelConfig, graph_info: dict, rng: np.random.Generator) -> MPGCN:
@@ -178,7 +185,7 @@ def train_loop(
     """
     train_cfg.validate()
     model_cfg.validate()
-    _check_dataset(ds, model_cfg.num_classes)
+    _check_dataset(ds, model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     model = build_model(model_cfg, graph_info, rng)
     optimizer = SGDNesterov(model, train_cfg)
@@ -286,7 +293,7 @@ def evaluate(
     for model, _ in models_and_stats:
         if model.config.num_classes != num_classes:
             raise InputError("fused checkpoints must share num_classes")
-    _check_dataset(ds, num_classes)
+        _check_dataset(ds, model.config)
     total = np.zeros((len(ds), num_classes))
     for model, stats in models_and_stats:
         total += predict_scores(model, ds, indices, stats, batch_size)
@@ -339,12 +346,10 @@ def _read_config(path: str, tensors: dict) -> tuple[dict, dict]:
 
 
 def load_checkpoint(path: str) -> tuple[MPGCN, dict]:
-    """Rebuild a saved model and its normalisation stats; errors name the file."""
+    """Rebuild a saved model and its normalisation stats: one (2 * in_channels,) mean and
+    std > 0 per stream. Errors name the file."""
     tensors = data_io.read_tensor_container(path)
     fields, info = _read_config(path, tensors)
-    for name, value in tensors.items():  # parameters, buffers and norm.* stats
-        if not np.isfinite(value).all():
-            raise FormatError(f"{path}: entry {name!r} is not finite")
     try:
         model = build_model(ModelConfig(**fields), info, np.random.default_rng(0))
     except ConfigError as exc:
@@ -358,5 +363,11 @@ def load_checkpoint(path: str) -> tuple[MPGCN, dict]:
         model.load_state(params, buffers)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    width = (2 * model.config.in_channels,)
+    for name in norm:
+        if tensors[name].shape != width:
+            raise FormatError(f"{path}: entry {name!r} has shape {tensors[name].shape}, expected {width}")
+        if name.endswith(".std") and not (tensors[name] > 0).all():
+            raise FormatError(f"{path}: entry {name!r} is not > 0")
     norm_stats = {key: (tensors[f"norm.{key}.mean"], tensors[f"norm.{key}.std"]) for key in STREAM_ORDER}
     return model, norm_stats

@@ -164,6 +164,29 @@ class TestReassign:
          {"train.cfg": "", "features/a.pgt": {
              k: np.pad(np.full((1, 1, 1), 1e200), ((0, 3), (0, 7), (0, 5))) for k in STREAM_ORDER}},
          "error: stream 'joint': mean or std over the training split is not finite"),
+        ("eval", {"samples": [{"id": "a", "label": 0}]},
+         {"features/a.pgt": {k: np.full((4, 8, 6), np.nan) for k in STREAM_ORDER}},
+         "features/a.pgt: entry 'joint' is not finite"),
+        ("reassign", {"samples": [FILES], **ROSTER},
+         {"samples/a.jsonl": json.dumps(DETECTION), "truth/a.pgt": {"objects": np.full((2, 1, 3), np.nan)}},
+         "truth/a.pgt: entry 'objects' is not finite"),
+        ("features", {"samples": [{"id": "a"}], **GRAPH},
+         {"tensors/a.pgt": {"skeleton": np.pad(np.full((1, 1, 1, 1), 1e200), ((0, 3), (0, 1), (1, 2), (0, 2)))}},
+         "tensors/a.pgt: a bone length is not finite"),
+        ("train", {"samples": [{"id": "a", "label": 0}, {"id": "b", "label": 1}], **TRAIN},
+         {"train.cfg": "", "features/a.pgt": {k: np.zeros((4, 8, 6)) for k in STREAM_ORDER},
+          "features/b.pgt": {k: np.zeros((4, 8, 4)) for k in STREAM_ORDER}},
+         "features/b.pgt: stream 'joint' has shape (4, 8, 4), the first sample's streams (4, 8, 6)"),
+        ("eval", {"samples": [{"id": "a", "label": 0}, {"id": "b", "label": 1}]},
+         {"features/a.pgt": {k: np.zeros((4, 8, 6)) for k in STREAM_ORDER},
+          "features/b.pgt": {**{k: np.zeros((4, 8, 6)) for k in STREAM_ORDER}, "bone": np.zeros((4, 8, 4))}},
+         "features/b.pgt: stream 'bone' has shape (4, 8, 4), the first sample's streams (4, 8, 6)"),
+        ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN},
+         {"train.cfg": "", "features/a.pgt": {k: np.zeros((4, 8 * 6)) for k in STREAM_ORDER}},
+         "features/a.pgt: stream 'joint' has shape (4, 48), expected (frames, nodes, channels)"),
+        ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN},
+         {"train.cfg": "", "features/a.pgt": {k: np.zeros((4, 6, 6)) for k in STREAM_ORDER}},
+         "error: stream 'joint' has shape (4, 6, 6), the model takes (frames, 8, 6)"),
     ], ids=["features-layout", "reassign-jsonl", "reassign-persons", "features-sample-type",
             "train-classes", "eval-label", "features-persons-str", "train-classes-bool",
             "eval-label-float", "reassign-id-int", "reassign-jsonl-file", "reassign-truth-file",
@@ -172,7 +195,9 @@ class TestReassign:
             "features-manifest-dir", "reassign-t-overflow", "reassign-id-infinity",
             "reassign-spread-overflow", "reassign-truth-entry", "features-tensor-entry",
             "train-feature-entry", "reassign-frames", "reassign-frame-index",
-            "features-tensor-nan", "train-stats-overflow"])
+            "features-tensor-nan", "train-stats-overflow", "eval-feature-nan", "reassign-truth-nan",
+            "features-bone-overflow", "train-stream-shapes", "eval-stream-shapes",
+            "train-stream-rank", "train-stream-nodes"])
     def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, files, error):
         """Each command checks the manifest keys it reads and their types before reading
         them, and a file it cannot read or decode names its path: exit 1 and one error
@@ -194,9 +219,9 @@ class TestReassign:
         err = capsys.readouterr().err.splitlines()
         assert err == [error if error.startswith("error: ") else f"error: {tmp_path}/{error}"]
 
-    def test_coordinate_near_1e200_stops_train(self, tmp_path, capsys):
-        """A slot coordinate of 1e200 is finite, so features takes it; its square
-        overflows the joint stream's std, and train stops before any epoch."""
+    def test_coordinate_near_1e200_stops_features(self, tmp_path, capsys):
+        """A slot coordinate of 1e200 is finite, but the square in its bone's length
+        overflows: features stops on that tensor file and writes no feature file."""
         data = str(tmp_path / "data")
         assert cli.main(["synth", "--classes", "2", "--per-class", "2", "--persons", "2",
                          "--joints", "3", "--frames", "4", "--out", data]) == 0
@@ -205,16 +230,10 @@ class TestReassign:
         tensor = data_io.read_tensor_container(path)["skeleton"]
         tensor[0, 0, 0, 0] = 1e200
         data_io.write_tensor_container(path, {"skeleton": tensor})
-        assert cli.main(["features", "--data", data]) == 0
-        (tmp_path / "train.cfg").write_text(TRAIN_CONFIG)
         capsys.readouterr()
-        assert cli.main(["train", "--config", str(tmp_path / "train.cfg"), "--data", data,
-                         "--out", str(tmp_path / "run")]) == 1
-        out, err = capsys.readouterr()
-        assert '"epoch"' not in out
-        assert err.splitlines() == [
-            "error: stream 'joint': mean or std over the training split is not finite"]
-        assert not os.path.exists(tmp_path / "run" / "ckpt_final.pgt")
+        assert cli.main(["features", "--data", data]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: a bone length is not finite"]
+        assert not os.path.exists(os.path.join(data, "features", "s0000.pgt"))
 
     def test_high_dropout_keeps_every_frame(self, tmp_path):
         """Frames without a detection stay in the clip: at dropout 0.9, reassign and
@@ -404,16 +423,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {ckpt}: config: num_persons must be int, got '2'"]
 
-    @pytest.mark.parametrize("damage", ["nan", "shape"])
+    @pytest.mark.parametrize("damage", ["nan", "shape", "zero-std"])
     def test_damaged_checkpoint_tensor_exits_1(self, pipeline, tmp_path, capsys, damage):
-        """A NaN weight, or the 32-byte container whose one entry numpy cannot shape."""
+        """A NaN weight, the 32-byte container whose one entry numpy cannot shape, or a
+        normalisation std of 0 (it would divide a stream by zero)."""
         _, data, out = pipeline
         ckpt = str(tmp_path / "ckpt.pgt")
-        if damage == "nan":
+        if damage != "shape":
             tensors = data_io.read_tensor_container(os.path.join(out, "ckpt_final.pgt"))
-            tensors["param.branch0.block0.sgc.W0"][0, 0] = np.nan
+            name = "param.branch0.block0.sgc.W0" if damage == "nan" else "norm.joint.std"
+            tensors[name].flat[0] = np.nan if damage == "nan" else 0.0
             data_io.write_tensor_container(ckpt, tensors)
-            expected = "entry 'param.branch0.block0.sgc.W0' is not finite"
+            expected = f"entry {name!r} is " + ("not finite" if damage == "nan" else "not > 0")
         else:
             entry = struct.pack("<H8sBB3I", 8, b"skeleton", 1, 3, 0, 2**32 - 1, 2**32 - 1)
             open(ckpt, "wb").write(b"PGT1" + struct.pack("<I", 1) + entry)
@@ -421,6 +442,17 @@ class TestEval:
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {ckpt}: {expected}")
+
+    def test_features_of_other_dims_exit_1(self, pipeline, tmp_path, capsys):
+        """Features cached with --dims 2 do not fit a checkpoint trained on --dims 3."""
+        root, data, out = pipeline
+        data2 = str(tmp_path / "data2")
+        shutil.copytree(data, data2)
+        assert cli.main(["features", "--data", data2, "--dims", "2"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", os.path.join(out, "ckpt_final.pgt"), "--data", data2]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: stream 'joint' has shape (8, 8, 4), the model takes (frames, 8, 6)"]
 
     def test_val_scores_validation_split(self, pipeline, tmp_path, capsys):
         """A 32-clip set of the pipeline's shape: the top level scores every clip, val only the validation clips."""
@@ -484,13 +516,17 @@ FUZZ_TARGETS = {  # mutated file -> seed, stages run on it in pipeline order
     "train.cfg": (3, ["train"]),
     "data/truth/s0000.pgt": (4, ["reassign"]),
     "data/tensors/s0000.pgt": (5, ["features"]),
+    "data/features/s0000.pgt": (6, ["train", "eval"]),
+    "run/ckpt_final.pgt": (7, ["eval"]),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("target", list(FUZZ_TARGETS))
 def test_byte_mutation_exits_0_or_1(fuzz_base, tmp_path, capsys, target):
     """Seeded one-byte mutations of a file from outside: every stage that reads it
-    exits 0, or exits 1 with exactly one ``error:`` line on stderr."""
+    exits 0, or exits 1 with exactly one ``error:`` line on stderr, and warns nothing
+    (a RuntimeWarning is an error)."""
     seed, stages = FUZZ_TARGETS[target]
     rng = np.random.default_rng(seed)
     capsys.readouterr()

@@ -90,6 +90,19 @@ class TestContainer:
         with pytest.raises(FormatError, match="duplicate"):
             data_io.read_tensor_container(str(path))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_entry_rejected(self, tmp_path, dtype, value):
+        """The reader owns finiteness: a float entry with NaN or inf is refused by name,
+        written as it is; byte entries (a checkpoint's config) are not floats."""
+        path = str(tmp_path / "nan.pgt")
+        config = np.frombuffer(b"\xff\xff", dtype=np.uint8)
+        data_io.write_tensor_container(path, {"config": config, "x": np.array([1.0, value], dtype)})
+        with pytest.raises(FormatError, match=re.escape(f"{path}: entry 'x' is not finite")):
+            data_io.read_tensor_container(path)
+        data_io.write_tensor_container(path, {"config": config})
+        assert data_io.read_tensor_container(path)["config"].tobytes() == b"\xff\xff"
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "junk.pgt")
         data_io.write_tensor_container(path, {"x": np.ones(3)})

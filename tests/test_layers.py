@@ -20,7 +20,7 @@ from panograph.nn import (
     TemporalConv,
 )
 from panograph.nn.blocks import _ConvBranch
-from panograph.nn.core import WORKSPACE, kaiming_uniform
+from panograph.nn.core import WORKSPACE, Module, kaiming_uniform
 
 
 def identity_adjacency(n, K=3):
@@ -746,25 +746,27 @@ class TestBasicBlock:
     def conv_branches(block):
         return [b for b in block.tcn.branches if hasattr(b, "tconv")]
 
-    def test_training_forward_keeps_no_y1_or_y2(self):
-        """tcn, att, res2 and the conv branches' tconv hold no input, while every freeze
-        state and x stay."""
-        block, x, *_ = self.strided_block(40)
-        assert block._cache is x
-        assert block.tcn._cache is None and block.res2._cache is None
-        assert len(self.conv_branches(block)) == 2
-        assert all(b.tconv._cache is None for b in self.conv_branches(block))
+    @classmethod
+    def assert_holds_no_y1_or_y2(cls, block):
+        """tcn, att, res2 and the conv branches' tconv hold no input (``_cache[0]`` is None,
+        the tconv's whole cache is its im2col), while every freeze state stays."""
+        assert block.tcn._cache == (None,) and block.res2._cache == (None,)
+        assert len(cls.conv_branches(block)) == 2
+        assert all(b.tconv._cache is None for b in cls.conv_branches(block))
         assert block.att._cache[0] is None and block.att._cache[-1].dtype == bool
         assert block.relu1._cache.dtype == bool and block.relu2._cache.dtype == bool
         assert all(b.relu._cache.dtype == bool for b in block.tcn.branches)
         assert block.tcn.branches[2].pool._cache[0].dtype == np.int8
 
+    def test_training_forward_keeps_no_y1_or_y2(self):
+        block, x, *_ = self.strided_block(40)
+        assert block._cache is x
+        self.assert_holds_no_y1_or_y2(block)
+
     def test_backward_drops_y1_and_y2_again(self):
         block, _, out, rng = self.strided_block(41)
         block.backward(rng.standard_normal(out.shape))
-        assert block.tcn._cache is None and block.res2._cache is None
-        assert block.att._cache[0] is None
-        assert all(b.tconv._cache is None for b in self.conv_branches(block))
+        self.assert_holds_no_y1_or_y2(block)
 
     def test_tconv_backward_sees_its_im2col(self, monkeypatch):
         """While a conv branch's tconv.backward runs, and at its return, the tconv holds
@@ -782,6 +784,16 @@ class TestBasicBlock:
         block.backward(rng.standard_normal(out.shape))
         bc = block.tcn.branch_channels
         assert seen == [(2, bc * 3, 3 * 6)] * 2  # B=2, T_out=3 at stride 2, N=6
+
+    def test_only_module_and_temporal_conv_define_hold_input(self):
+        """A dropped input is handed back one way, Module.hold_input's, except the
+        TemporalConv that rebuilds its im2col from it."""
+        def owners(cls):
+            yield from ([cls] if "hold_input" in vars(cls) else [])
+            for sub in cls.__subclasses__():
+                yield from owners(sub)
+
+        assert sorted(c.__name__ for c in owners(Module)) == ["Module", "TemporalConv"]
 
     def test_frozen_forward_after_backward(self):
         """forward -> backward -> freeze_kinks -> frozen forward, the desk FD path."""

@@ -465,8 +465,14 @@ class TestEvaluateAndCheckpoints:
              "buffer names differ: missing ['branch0.block0.bn1.running_var']"),
             (lambda t: t.pop("norm.joint.mean"), "missing ['norm.joint.mean'], unknown []"),
             (lambda t: t.update({"junk": np.zeros(1)}), "missing [], unknown ['junk']"),
+            (lambda t: t.update({"norm.joint.std": np.zeros(6)}), "entry 'norm.joint.std' is not > 0"),
+            (lambda t: t.update({"norm.bone.std": np.array([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])}),
+             "entry 'norm.bone.std' is not > 0"),
+            (lambda t: t.update({"norm.bone.mean": np.zeros(4)}),
+             "entry 'norm.bone.mean' has shape (4,), expected (6,)"),
         ],
-        ids=["missing_param", "wrong_shape", "unknown_param", "missing_buffer", "missing_norm", "unknown_entry"],
+        ids=["missing_param", "wrong_shape", "unknown_param", "missing_buffer", "missing_norm",
+             "unknown_entry", "zero_norm_std", "negative_norm_std", "norm_mean_width"],
     )
     def test_checkpoint_tensors_must_match_model(self, tmp_path, mutate, named):
         self.trained(tmp_path)
