@@ -39,8 +39,8 @@ def cmd_synth(args) -> int:
     for i, sample in enumerate(samples):
         sid = f"s{i:04d}"
         jsonl_rel = os.path.join("samples", sid + ".jsonl")
-        with open(os.path.join(args.out, jsonl_rel), "w") as fh:
-            fh.write("\n".join(sample.jsonl) + "\n")
+        data_io.write_atomic(os.path.join(args.out, jsonl_rel),
+                             lambda fh: fh.write("\n".join(sample.jsonl) + "\n"), "w")
         truth_rel = os.path.join("truth", sid + ".pgt")
         data_io.write_tensor_container(
             os.path.join(args.out, truth_rel),
@@ -77,10 +77,8 @@ def cmd_reassign(args) -> int:
         truth = data_io.read_tensor_container(os.path.join(args.data, entry["truth"]), ("objects",))
         try:
             frames = parse_jsonl(text.split("\n"), manifest["num_joints"])
-            tensor, report = assemble_sequence(
-                frames, manifest["num_persons"], manifest["num_joints"], score_mode=args.score_mode,
-                num_frames=manifest["num_frames"],
-            )
+            tensor, report = assemble_sequence(frames, manifest["num_persons"], manifest["num_joints"],
+                                               num_frames=manifest["num_frames"])
             full = data_io.append_object_nodes(tensor, truth["objects"])
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
@@ -89,8 +87,8 @@ def cmd_reassign(args) -> int:
         )
         reports[entry["id"]] = {"slot_mean_track_len": report.slot_mean_track_len,
                                 "dropped_per_frame": report.dropped_per_frame}
-    with open(os.path.join(args.data, "reassign_report.json"), "w") as fh:
-        json.dump(reports, fh, indent=1)
+    data_io.write_atomic(os.path.join(args.data, "reassign_report.json"),
+                         lambda fh: json.dump(reports, fh, indent=1), "w")
     print(f"reassigned {len(reports)} samples")
     return 0
 
@@ -223,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reassign", help="map detections onto the fixed roster")
     p.add_argument("--data", required=True)
-    p.add_argument("--score-mode", choices=["conf+activeness", "conf_only"], default="conf+activeness")
     p.set_defaults(fn=cmd_reassign)
 
     p = sub.add_parser("features", help="materialize the four input streams")

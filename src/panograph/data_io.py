@@ -145,8 +145,12 @@ class SyntheticSpec:
                      "num_joints", "num_frames"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+        for name in ("noise_std", "num_objects", "num_distractors", "conf_jitter"):
+            if not 0 <= getattr(self, name):  # every comparison with nan is False
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("dropout_prob", "id_switch_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -167,17 +171,17 @@ def _class_params(label: int, num_persons: int):
     return freq, antiphase, vertical, (ball_a, ball_b)
 
 
-def _player_pose(base, amp, freq, phase, vertical, t, T, num_joints):
-    """Chain of joints hanging from an oscillating center with limb swing."""
-    theta = 2 * np.pi * freq * t / T + phase
-    dx, dy = (0.0, amp * np.sin(theta)) if vertical else (amp * np.sin(theta), 0.0)
-    cx, cy = base[0] + dx, base[1] + dy
-    joints = np.zeros((num_joints, 3))
-    for j in range(num_joints):
-        joints[j, 0] = cx + 6.0 * np.sin(theta + 0.8 * j)
-        joints[j, 1] = cy + 12.0 * j
-        joints[j, 2] = 1.0
-    return joints, (cx, cy)
+def _player_poses(M, V, T, freq, phases, vertical):
+    """Chains of V joints hanging from M centers that oscillate at ``phases`` (M,), with
+    limb swing, over T frames: (T, M, V, 3) keypoints and (T, M, 2) centers, before noise."""
+    theta = 2 * np.pi * freq * np.arange(T)[:, None] / T + phases
+    swing, still = 25.0 * np.sin(theta), np.zeros((T, M))
+    dx, dy = (still, swing) if vertical else (swing, still)
+    centers = np.stack([150.0 + 180.0 * np.arange(M) + dx, 300.0 + dy], axis=2)
+    joints = np.ones((T, M, V, 3))
+    joints[..., 0] = centers[..., :1] + 6.0 * np.sin(theta[..., None] + 0.8 * np.arange(V))
+    joints[..., 1] = centers[..., 1:] + 12.0 * np.arange(V)
+    return joints, centers
 
 
 def generate_sample(spec: SyntheticSpec, label: int, rng: np.random.Generator) -> SyntheticSample:
@@ -190,34 +194,28 @@ def generate_sample(spec: SyntheticSpec, label: int, rng: np.random.Generator) -
     M, V, T = spec.num_persons, spec.num_joints, spec.num_frames
     freq, antiphase, vertical, (ball_a, ball_b) = _class_params(label, M)
     global_phase = rng.uniform(0, 2 * np.pi)
-    amp = 25.0
-    bases = [(150.0 + 180.0 * p, 300.0) for p in range(M)]
+    poses, centers = _player_poses(M, V, T, freq, global_phase + np.pi * np.arange(M) * antiphase, vertical)
 
     player_ids = list(range(1, M + 1))
     next_id = M + spec.num_distractors + 1
-    distractors = [
-        (M + 1 + d, (100.0 + 37.0 * d, 80.0)) for d in range(spec.num_distractors)
-    ]
+    distractors = []  # (id, keypoints shared by every frame, center)
+    for d in range(spec.num_distractors):
+        dx, dy = 100.0 + 37.0 * d, 80.0
+        kpts = np.stack([np.full(V, dx), dy + 12.0 * np.arange(V), np.ones(V)], axis=1)
+        distractors.append((M + 1 + d, kpts, (dx, dy)))
 
-    objects = np.zeros((T, max(spec.num_objects, 1), 3))[:, : spec.num_objects, :]
+    objects = np.zeros((T, spec.num_objects, 3))
     clean = np.ones(T)
     lines: list[str] = []
     player_frames: list[PoseFrame] = []  # the ground truth is their slot tensor
 
     for t in range(T):
-        poses = []
-        centers = []
-        for p in range(M):
-            phase = global_phase + np.pi * p * antiphase
-            joints, center = _player_pose(bases[p], amp, freq, phase, vertical, t, T, V)
-            joints[:, :2] += rng.normal(0.0, spec.noise_std, size=(V, 2))
-            poses.append(joints)
-            centers.append(center)
+        poses[t, ..., :2] += rng.normal(0.0, spec.noise_std, size=(M, V, 2))
 
         # ball travels back and forth between the two designated players
         if spec.num_objects > 0:
             w = 0.5 * (1 + np.sin(2 * np.pi * t / T + global_phase))
-            ca, cb = np.array(centers[ball_a]), np.array(centers[ball_b])
+            ca, cb = centers[t, ball_a], centers[t, ball_b]
             ball = (1 - w) * ca + w * cb + rng.normal(0.0, spec.noise_std, size=2)
             objects[t, 0, :2] = ball
             objects[t, 0, 2] = 1.0
@@ -234,16 +232,12 @@ def generate_sample(spec: SyntheticSpec, label: int, rng: np.random.Generator) -
                 clean[t] = 0.0
                 continue
             conf = float(np.clip(spec.player_conf + spec.conf_jitter * rng.standard_normal(), 0.05, 1.0))
-            players.detections.append(Detection(player_ids[p], conf, poses[p], centers[p]))
+            players.detections.append(Detection(player_ids[p], conf, poses[t, p], tuple(centers[t, p])))
         player_frames.append(players)
         detections = list(players.detections)
-        for did, (dx, dy) in distractors:
+        for did, kpts, center in distractors:
             conf = float(np.clip(spec.distractor_conf + spec.conf_jitter * rng.standard_normal(), 0.05, 1.0))
-            joints = np.zeros((V, 3))
-            joints[:, 0] = dx
-            joints[:, 1] = dy + 12.0 * np.arange(V)
-            joints[:, 2] = 1.0
-            detections.append(Detection(did, conf, joints, (dx, dy)))
+            detections.append(Detection(did, conf, kpts, center))
 
         for d in detections:
             lines.append(

@@ -33,7 +33,8 @@ ABS_FLOOR = 1e-7  # below this, analytic and numeric are both numerically zero
 
 
 def freeze_kinks(module: Module, frozen: bool = True) -> None:
-    """Pin every ReLU mask and maxpool argmax at their current values.
+    """Pin every ReLU mask, max-pool tap and attention gate at their current values:
+    ``Module._freeze_kinks`` on ``module`` and every module below it.
 
     The analytic backward pass differentiates the piecewise-linear branch
     selected by the unperturbed forward pass; an O(h) FD probe that lands a
@@ -42,8 +43,7 @@ def freeze_kinks(module: Module, frozen: bool = True) -> None:
     the probed function smooth, so FD and the analytic gradient agree to
     truncation error.  Callers must run one training forward before freezing.
     """
-    if isinstance(module, (ReLU, MaxPoolT, STPAttention)):
-        module._freeze_kinks = frozen
+    module._freeze_kinks = frozen
     for _, child in module._children:
         freeze_kinks(child, frozen)
 
@@ -104,9 +104,7 @@ def check_entrywise(
             indices = rng.choice(flat.size, size=max_entries, replace=False)
         worst = 0.0
         for i in indices:
-            one_hot = np.zeros(flat.size)
-            one_hot[i] = 1.0
-            worst = max(worst, coverage.error(_central_difference(loss_fn, [(flat, one_hot)]), g[i]))
+            worst = max(worst, coverage.error(_central_difference(loss_fn, [(flat[i : i + 1], 1.0)]), g[i]))
         errors[name] = worst
     return errors
 

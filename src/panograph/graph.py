@@ -153,10 +153,6 @@ class PartitionedAdjacency:
     size: int
     A_hat: np.ndarray  # (3, size, size), float64
 
-    def __post_init__(self):
-        if self.A_hat.shape != (3, self.size, self.size):
-            raise ConfigError(f"A_hat shape {self.A_hat.shape} does not match size {self.size}")
-
 
 def normalize_symmetric(A: np.ndarray) -> np.ndarray:
     """D^{-1/2} A D^{-1/2} with zero rows for isolated nodes (no epsilon)."""

@@ -28,8 +28,8 @@ def _rebuild(name, bn, x=None, res=None):
 class _ConvBranch(Module):
     """BN -> ReLU -> dilated 3x1 temporal conv on its slice of the TCN bottleneck output.
 
-    A training forward drops the conv's im2col; backward rebuilds the ReLU output
-    (``_rebuild`` into "tcn.relu") and hands it back to the conv for its backward only.
+    The conv always runs its eval forward, which keeps no im2col; backward rebuilds the
+    ReLU output (``_rebuild`` into "tcn.relu") and hands it to the conv for its backward only.
     """
 
     def __init__(self, branch_channels, rng, stride, dilation):
@@ -42,10 +42,7 @@ class _ConvBranch(Module):
         )
 
     def forward(self, y, training=False):
-        out = self.tconv.forward(self.relu.forward(self.bn.forward(y, training), training), training)
-        if training:
-            self.tconv.hold_input(None)
-        return out
+        return self.tconv.forward(self.relu.forward(self.bn.forward(y, training), training))
 
     def backward(self, grad_out):
         self.tconv.hold_input(_rebuild("tcn.relu", self.bn))

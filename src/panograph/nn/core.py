@@ -20,6 +20,10 @@ class Module:
     forward (``training=False``) keeps nothing there.
     """
 
+    # True pins the kinks of the last training forward (ReLU masks, max-pool taps,
+    # attention gates) for a finite-difference probe; the layers that have them read it.
+    _freeze_kinks = False
+
     def __init__(self):
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}

@@ -16,7 +16,7 @@ class ReLU(Module):
         if not training:
             self._cache = None
             return np.maximum(x, 0.0, out=x)
-        if getattr(self, "_freeze_kinks", False):
+        if self._freeze_kinks:
             return x * self._saved()
         self._cache = x > 0
         return np.maximum(x, 0.0)
@@ -139,7 +139,7 @@ class MaxPoolT(Module):
             np.maximum(x[:, :, f0], out[:, :, t0], out=out[:, :, t0])
             np.maximum(out[:, :, t2], x[:, :, f2], out=out[:, :, t2])
             return out
-        if getattr(self, "_freeze_kinks", False):
+        if self._freeze_kinks:
             am = self._saved()[0]
             for k in (0, 2):
                 t, f = taps[k]
@@ -416,8 +416,7 @@ class STPAttention(Module):
         frame = (x.reshape(-1, N) @ np.ones(N)).reshape(B, C, T) / N
         z = np.concatenate([person, frame], axis=2)  # (B, C, M+T)
         pre = self.w1 @ z + self.b1[None, :, None]
-        frozen = training and getattr(self, "_freeze_kinks", False)
-        mask = self._saved()[-1] if frozen else pre > 0.0
+        mask = self._saved()[-1] if training and self._freeze_kinks else pre > 0.0
         h = pre * mask
         u = self.w2 @ h + self.b2
         with np.errstate(under="ignore"):  # a score that underflows is 0

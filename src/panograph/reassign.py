@@ -150,19 +150,12 @@ class AssignmentReport:
 
 
 def mean_contiguous_run_length(track_seq: list[int | None]) -> float:
-    """Average length of maximal same-id runs; absences break runs."""
-    runs = []
-    cur_id, cur_len = None, 0
-    for tid in track_seq:
-        if tid is not None and tid == cur_id:
-            cur_len += 1
-        else:
-            if cur_len > 0:
-                runs.append(cur_len)
-            cur_id, cur_len = tid, (1 if tid is not None else 0)
-    if cur_len > 0:
-        runs.append(cur_len)
-    return float(np.mean(runs)) if runs else 0.0
+    """Average length of maximal same-id runs; absences break runs.
+
+    A run starts at each entry that is not None and differs from the one before it.
+    """
+    starts = sum(tid is not None and tid != prev for prev, tid in zip([None] + track_seq, track_seq))
+    return sum(tid is not None for tid in track_seq) / starts if starts else 0.0
 
 
 def assemble_sequence(

@@ -62,10 +62,6 @@ class SGDNesterov:
         self.cfg = cfg
         self.velocity = {name: np.zeros_like(p) for name, p in model.named_parameters()}
 
-    @staticmethod
-    def _decayed(name: str) -> bool:
-        return not (name.endswith(".gamma") or name.endswith(".beta"))
-
     def step(self, model: MPGCN, lr: float) -> None:
         grads = dict(model.named_grads())
         bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
@@ -74,7 +70,7 @@ class SGDNesterov:
         mu = self.cfg.momentum
         for name, p in model.named_parameters():
             g = grads[name]
-            if self.cfg.weight_decay and self._decayed(name):
+            if self.cfg.weight_decay and not name.endswith((".gamma", ".beta")):
                 g = g + self.cfg.weight_decay * p
             v = self.velocity[name]
             v *= mu
@@ -132,10 +128,6 @@ def compute_norm_stats(ds: Dataset, indices) -> dict[str, tuple[np.ndarray, np.n
     return stats
 
 
-def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
-    return float((pred == labels).mean())
-
-
 def _batches(indices: np.ndarray, batch_size: int):
     for start in range(0, len(indices), batch_size):
         yield indices[start : start + batch_size]
@@ -191,12 +183,9 @@ def train_loop(
     optimizer = SGDNesterov(model, train_cfg)
 
     all_idx = np.arange(len(ds))
-    if use_validation:
-        val = validation_mask(len(ds))
-        val_idx, train_idx = all_idx[val], all_idx[~val]
-        if len(train_idx) == 0 or len(val_idx) == 0:
-            train_idx, val_idx = all_idx, all_idx
-    else:
+    val = validation_mask(len(ds)) if use_validation else np.zeros(len(ds), dtype=bool)
+    val_idx, train_idx = all_idx[val], all_idx[~val]
+    if len(train_idx) == 0 or len(val_idx) == 0:
         train_idx, val_idx = all_idx, all_idx
     norm_stats = compute_norm_stats(ds, train_idx)
 
@@ -251,16 +240,12 @@ def predict_scores(model: MPGCN, ds: Dataset, indices, norm_stats, batch_size=16
 
 def metrics_from_predictions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> dict:
     confusion = np.zeros((num_classes, num_classes), dtype=int)
-    for t, p in zip(labels, pred):
-        confusion[int(t), int(p)] += 1
-    per_class = []
-    for c in range(num_classes):
-        row = confusion[c]
-        if row.sum() > 0:
-            per_class.append(row[c] / row.sum())
+    np.add.at(confusion, (labels, pred), 1)
+    rows = confusion.sum(axis=1)
+    seen = rows > 0
     return {
-        "mca": _accuracy(pred, labels),
-        "mpca": float(np.mean(per_class)) if per_class else 0.0,
+        "mca": float((pred == labels).mean()),
+        "mpca": float(np.mean(confusion.diagonal()[seen] / rows[seen])) if seen.any() else 0.0,
         "confusion": confusion,
     }
 
@@ -294,11 +279,8 @@ def evaluate(
         if model.config.num_classes != num_classes:
             raise InputError("fused checkpoints must share num_classes")
         _check_dataset(ds, model.config)
-    total = np.zeros((len(ds), num_classes))
-    for model, stats in models_and_stats:
-        total += predict_scores(model, ds, indices, stats, batch_size)
-    total /= len(models_and_stats)
-    pred = total.argmax(axis=1)
+    total = sum(predict_scores(model, ds, indices, stats, batch_size) for model, stats in models_and_stats)
+    pred = (total / len(models_and_stats)).argmax(axis=1)
     result = metrics_from_predictions(pred, ds.labels, num_classes)
     val = validation_mask(len(ds))
     result["val"] = metrics_from_predictions(pred[val], ds.labels[val], num_classes) if val.any() else None

@@ -71,6 +71,33 @@ class TestSynth:
             assert os.path.exists(os.path.join(data, entry["jsonl"]))
             assert os.path.exists(os.path.join(data, entry["truth"]))
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--objects", "-1"], "num_objects must be >= 0, got -1"),
+        (["--distractors", "-2", "--id-switch", "0.5"], "num_distractors must be >= 0, got -2"),
+        (["--conf-jitter", "-0.1"], "conf_jitter must be >= 0, got -0.1"),
+        (["--conf-jitter", "nan"], "conf_jitter must be >= 0, got nan"),
+        (["--dropout", "1.5"], "dropout_prob must be in [0, 1], got 1.5"),
+        (["--id-switch", "nan"], "id_switch_prob must be in [0, 1], got nan"),
+    ], ids=["objects", "distractors", "jitter", "jitter-nan", "dropout", "id-switch-nan"])
+    def test_spec_out_of_range_exits_1(self, tmp_path, capsys, flags, error):
+        """A spec synth cannot write stops it before it writes anything."""
+        out = tmp_path / "data"
+        assert cli.main(["synth", "--persons", "3", "--joints", "3", "--frames", "8", *flags,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        """Every synth output is written to a temp file and renamed: a write that fails
+        leaves neither the file nor a temp file."""
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        assert cli.main(["synth", "--classes", "2", "--per-class", "1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+        assert [f for _, _, files in os.walk(tmp_path) for f in files] == []
+
 
 class TestReassign:
     def test_tensors_and_report(self, pipeline):
@@ -82,6 +109,28 @@ class TestReassign:
         report = json.load(open(os.path.join(data, "reassign_report.json")))
         assert set(report) == {e["id"] for e in manifest["samples"]}
         assert "slot_mean_track_len" in report[first]
+
+    def test_score_mode_is_not_an_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reassign", "--data", str(tmp_path), "--score-mode", "conf_only"])
+        assert exc.value.code == 2
+
+    def test_failed_report_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        """reassign_report.json is renamed into place, so a failed write leaves no
+        report and no temp file."""
+        data = str(tmp_path / "data")
+        assert cli.main(["synth", "--classes", "2", "--per-class", "1", "--out", data]) == 0
+        replace = os.replace
+
+        def no_space_for_report(src, dst):
+            if dst.endswith("reassign_report.json"):
+                raise OSError(28, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", no_space_for_report)
+        assert cli.main(["reassign", "--data", data]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+        assert sorted(os.listdir(data)) == ["manifest.json", "samples", "tensors", "truth"]
 
     def test_missing_manifest_exits_1(self, tmp_path, capsys):
         assert cli.main(["reassign", "--data", str(tmp_path)]) == 1

@@ -225,6 +225,24 @@ class TestSyntheticGenerator:
         with pytest.raises(ConfigError):
             data_io.generate_synthetic(self.small_spec(noise_std=-1.0))
 
+    @pytest.mark.parametrize("M, V, T", [(1, 1, 1), (3, 5, 16), (2, 17, 7)])
+    @pytest.mark.parametrize("freq, vertical", [(1.0, 0), (2.0, 1)])
+    def test_player_poses_are_the_joint_loop(self, M, V, T, freq, vertical):
+        """The clip's poses built as arrays are exactly those of a loop over frames,
+        players and joints."""
+        phases = np.random.default_rng(V).uniform(0, 2 * np.pi, size=M)
+        joints, centers = np.zeros((T, M, V, 3)), np.zeros((T, M, 2))
+        for t in range(T):
+            for p in range(M):
+                theta = 2 * np.pi * freq * t / T + float(phases[p])
+                swing = 25.0 * np.sin(theta)
+                cx, cy = 150.0 + 180.0 * p + (0.0 if vertical else swing), 300.0 + (swing if vertical else 0.0)
+                centers[t, p] = cx, cy
+                for j in range(V):
+                    joints[t, p, j] = cx + 6.0 * np.sin(theta + 0.8 * j), cy + 12.0 * j, 1.0
+        got_joints, got_centers = data_io._player_poses(M, V, T, freq, phases, vertical)
+        assert np.array_equal(got_joints, joints) and np.array_equal(got_centers, centers)
+
     def test_jsonl_is_parseable(self):
         sample = data_io.generate_synthetic(self.small_spec())[0]
         for line in sample.jsonl:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from panograph import gradcheck, graph
 from panograph.errors import ConfigError, ContractError, InputError
 from panograph.nn import MPGCN, ModelConfig, cross_entropy, softmax
+from panograph.nn.core import Module
 from panograph.nn.model import STREAM_ORDER
 
 
@@ -348,6 +349,40 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(InputError):
             cross_entropy(np.zeros((1, 3)), np.array([3]))
+
+
+def freeze_listed(module, frozen=True):
+    """The freezer of panobench/checks.py: the flag on these three classes' instances only."""
+    if type(module).__name__ in ("ReLU", "MaxPoolT", "STPAttention"):
+        module._freeze_kinks = frozen
+    for _, child in module._children:
+        freeze_listed(child, frozen)
+
+
+class TestFreezeKinks:
+    def test_fresh_modules_are_not_frozen(self):
+        model, _, _ = tiny_model()
+        assert Module()._freeze_kinks is False
+        assert all(m._freeze_kinks is False for m in all_modules(model))
+
+    def test_freezing_every_module_equals_freezing_the_kinked_ones(self):
+        """gradcheck.freeze_kinks sets the flag on every module, panobench's freezer on
+        ReLU, MaxPoolT and STPAttention only; frozen on moved inputs, they agree bit for bit."""
+        model, cfg, _ = tiny_model(3)
+        rng = np.random.default_rng(8)
+        streams = random_streams(rng, cfg, 2)
+        logits = model.forward(streams, training=True)
+        model.backward(np.ones_like(logits))
+        moved = [s + 0.5 * rng.standard_normal(s.shape) for s in streams]
+        frozen = []
+        for freeze in (gradcheck.freeze_kinks, freeze_listed):
+            freeze(model)
+            try:
+                frozen.append(model.forward(moved, training=True))
+            finally:
+                freeze(model, False)
+        assert np.array_equal(frozen[0], frozen[1])
+        assert not np.array_equal(frozen[0], model.forward(moved, training=True))
 
 
 class TestGradcheckSuite:

@@ -207,6 +207,25 @@ class TestRunLength:
         expected = sum(runs) / len(runs) if runs else 0.0
         assert reassign.mean_contiguous_run_length(seq) == pytest.approx(expected)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=40))
+    @example([])
+    @example([None] * 7)
+    def test_count_is_the_run_loop(self, seq):
+        """Non-None entries over run starts is exactly the mean of the collected runs."""
+        runs, cur_id, cur_len = [], None, 0
+        for tid in seq:
+            if tid is not None and tid == cur_id:
+                cur_len += 1
+            else:
+                if cur_len > 0:
+                    runs.append(cur_len)
+                cur_id, cur_len = tid, (1 if tid is not None else 0)
+        if cur_len > 0:
+            runs.append(cur_len)
+        got = reassign.mean_contiguous_run_length(seq)
+        assert got == (float(np.mean(runs)) if runs else 0.0) and type(got) is float
+
 
 class TestAssembleSequence:
     def test_single_detection_fills_one_slot(self):

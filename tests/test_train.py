@@ -250,6 +250,23 @@ class TestMetrics:
         b = train.metrics_from_predictions(np.tile(pred, 2), np.tile(labels, 2), 3)
         assert a["mpca"] == pytest.approx(b["mpca"])
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=40))))
+    def test_equals_the_confusion_loop(self, case):
+        """Whole-array confusion, MCA and MPCA are exactly the per-sample loop's, empty
+        classes (rows without samples) included."""
+        k, pairs = case
+        labels, pred = (np.array(col, dtype=int) for col in zip(*pairs))
+        confusion = np.zeros((k, k), dtype=int)
+        for t, p in zip(labels, pred):
+            confusion[int(t), int(p)] += 1
+        per_class = [confusion[c, c] / confusion[c].sum() for c in range(k) if confusion[c].sum() > 0]
+        m = train.metrics_from_predictions(pred, labels, k)
+        assert np.array_equal(m["confusion"], confusion)
+        assert m["mca"] == float((pred == labels).mean())
+        assert m["mpca"] == float(np.mean(per_class))
+
 
 class TestTrainLoop:
     def make_cfg(self, **kw):
