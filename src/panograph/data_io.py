@@ -148,7 +148,10 @@ class SyntheticSpec:
         for name in ("noise_std", "num_objects", "num_distractors", "conf_jitter"):
             if not 0 <= getattr(self, name):  # every comparison with nan is False
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("dropout_prob", "id_switch_prob"):
+        for name in ("noise_std", "conf_jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("dropout_prob", "id_switch_prob", "distractor_conf", "player_conf"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
 
@@ -273,10 +276,7 @@ def append_object_nodes(skeleton: np.ndarray, objects: np.ndarray) -> np.ndarray
     if objects.ndim != 3 or objects.shape[0] != T or objects.shape[2] < C:
         raise InputError(f"objects of shape {objects.shape} do not fit a skeleton of {T} frames "
                          f"and {C} channels")
-    n = objects.shape[1]
-    if n == 0:
-        return skeleton
-    out = np.zeros((T, M, V + n, C))
+    out = np.zeros((T, M, V + objects.shape[1], C))
     out[:, :, :V, :] = skeleton
     out[:, :, V:, :] = objects[:, None, :, :C]
     return out

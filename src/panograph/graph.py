@@ -75,20 +75,22 @@ class GraphTopology:
                 raise ConfigError(f"inter edge ({i},{j}) stays within one person")
 
 
-def build_intra_topology(layout: str, num_joints: int) -> list[tuple[int, int]]:
-    """Single-body edge list for a named skeleton layout.
+def layout_unit(layout: str, num_joints: int):
+    """One body of a named skeleton layout: (limbs, centre joints, object holders).
 
-    ``coco17`` returns the fixed 18-limb COCO list; ``chain`` links joint i
-    to joint i+1.
+    ``coco17`` gives the fixed 18-limb COCO list, the hips and the wrists;
+    ``chain`` links joint i to joint i+1, with the middle joint as centre
+    and both ends as holders.
     """
     if layout == "coco17":
         if num_joints != 17:
             raise ConfigError(f"coco17 layout requires 17 joints, got {num_joints}")
-        return list(COCO17_EDGES)
+        return list(COCO17_EDGES), COCO17_CENTER_JOINTS, COCO17_WRISTS
     if layout == "chain":
         if num_joints < 1:
             raise ConfigError("chain layout needs at least one joint")
-        return [(i, i + 1) for i in range(num_joints - 1)]
+        ends = (0, num_joints - 1) if num_joints > 1 else (0,)
+        return [(i, i + 1) for i in range(num_joints - 1)], (num_joints // 2,), ends
     raise ConfigError(f"unknown skeleton layout {layout!r}")
 
 
@@ -115,12 +117,7 @@ def build_topology(
         raise ConfigError("need at least one person")
     if num_objects < 0:
         raise ConfigError(f"object count must be >= 0, got {num_objects}")
-    limbs = build_intra_topology(layout, num_joints)
-    if layout == "coco17":
-        centers, holders = COCO17_CENTER_JOINTS, COCO17_WRISTS
-    else:
-        ends = (0, num_joints - 1) if num_joints > 1 else (0,)
-        centers, holders = (num_joints // 2,), ends
+    limbs, centers, holders = layout_unit(layout, num_joints)
     if inter_variant not in INTER_VARIANTS:
         raise ConfigError(f"unknown inter-body variant {inter_variant!r}")
     M, npp = num_persons, num_joints + num_objects

@@ -123,7 +123,7 @@ class MaxPoolT(Module):
     The window at output frame t reads frames s*t - 1, s*t, s*t + 1 inside
     the clip (taps 0, 1, 2), each one frame slice of the input; the centre
     tap covers every output frame. A training forward caches the winning
-    tap as int8 (ties go to the first, as ``np.argmax``) in ``_cache[0]``.
+    tap as int8 in ``_cache[0]``: the first tap equal to the max, as ``np.argmax``.
     """
 
     def __init__(self, stride=1):
@@ -134,26 +134,19 @@ class MaxPoolT(Module):
         _, taps = _frame_taps(x.shape[2], self.stride, (-1, 0, 1))
         (t0, f0), (_, centre), (t2, f2) = taps
         out = x[:, :, centre].copy()
-        if not training:
-            self._cache = None
-            np.maximum(x[:, :, f0], out[:, :, t0], out=out[:, :, t0])
-            np.maximum(out[:, :, t2], x[:, :, f2], out=out[:, :, t2])
-            return out
-        if self._freeze_kinks:
+        if training and self._freeze_kinks:
             am = self._saved()[0]
             for k in (0, 2):
                 t, f = taps[k]
                 np.copyto(out[:, :, t], x[:, :, f], where=am[:, :, t] == k)
             return out
-        # strict > gives a tie to the earlier tap, as np.argmax; np.maximum only takes values
-        am = np.ones(out.shape, dtype=np.int8)
-        am[:, :, t0] = np.greater(out[:, :, t0], x[:, :, f0]).view(np.int8)  # 1: centre beats tap 0
         np.maximum(x[:, :, f0], out[:, :, t0], out=out[:, :, t0])
-        late = np.greater(x[:, :, f2], out[:, :, t2]).view(np.int8)
         np.maximum(out[:, :, t2], x[:, :, f2], out=out[:, :, t2])
-        late += late  # 2: tap 2 beats both
-        np.maximum(am[:, :, t2], late, out=am[:, :, t2])
-        self._cache = (am, x.shape, taps)
+        self._cache = None
+        if training:  # the winning tap is the first equal to the max: 0, else 1, else 2
+            am = np.not_equal(x[:, :, centre], out).view(np.int8) + np.int8(1)
+            am[:, :, t0] *= np.not_equal(x[:, :, f0], out[:, :, t0])
+            self._cache = (am, x.shape, taps)
         return out
 
     def backward(self, grad_out):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from panograph import cli, data_io, features, graph, train
+from panograph import cli, data_io, features, gradcheck, graph, train
 from panograph.nn import STREAM_ORDER
 
 
@@ -78,7 +78,14 @@ class TestSynth:
         (["--conf-jitter", "nan"], "conf_jitter must be >= 0, got nan"),
         (["--dropout", "1.5"], "dropout_prob must be in [0, 1], got 1.5"),
         (["--id-switch", "nan"], "id_switch_prob must be in [0, 1], got nan"),
-    ], ids=["objects", "distractors", "jitter", "jitter-nan", "dropout", "id-switch-nan"])
+        (["--distractor-conf", "nan"], "distractor_conf must be in [0, 1], got nan"),
+        (["--distractor-conf", "2"], "distractor_conf must be in [0, 1], got 2.0"),
+        (["--distractor-conf", "-1"], "distractor_conf must be in [0, 1], got -1.0"),
+        (["--noise", "inf"], "noise_std must be finite, got inf"),
+        (["--conf-jitter", "inf"], "conf_jitter must be finite, got inf"),
+    ], ids=["objects", "distractors", "jitter", "jitter-nan", "dropout", "id-switch-nan",
+            "distractor-conf-nan", "distractor-conf-2", "distractor-conf-neg", "noise-inf",
+            "jitter-inf"])
     def test_spec_out_of_range_exits_1(self, tmp_path, capsys, flags, error):
         """A spec synth cannot write stops it before it writes anything."""
         out = tmp_path / "data"
@@ -455,11 +462,13 @@ class TestEval:
             tensors["config"] = np.frombuffer(text.encode(), dtype=np.uint8)
         data_io.write_tensor_container(ckpt, tensors)
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "array"])
     def test_broken_checkpoint_config_exits_1(self, pipeline, tmp_path, capsys, damage):
         _, data, out = pipeline
         ckpt = str(tmp_path / "ckpt.pgt")
-        self.copy_with_config(out, ckpt, lambda text: text[:40] if damage == "truncated" else None)
+        edits = {"missing": lambda text: None, "truncated": lambda text: text[:40],
+                 "array": lambda text: "[]"}  # valid JSON, not an object
+        self.copy_with_config(out, ckpt, edits[damage])
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and "config" in err and "Traceback" not in err
@@ -528,6 +537,39 @@ class TestEval:
         ckpt = os.path.join(out, "ckpt_final.pgt")
         assert cli.main(["eval", "--ckpt", ckpt, "--ckpt", ckpt, "--data", data]) == 1
         assert "fuse" in capsys.readouterr().err
+
+
+class TestGradcheck:
+    """The command's report and exit code, over a stub suite (criterion 1 runs the real one)."""
+
+    @staticmethod
+    def stub(monkeypatch, worst):
+        calls = []
+
+        def run_full_suite(seed, thorough, coverage):
+            calls.append((seed, thorough))
+            coverage.checks, coverage.floored = 5, 2
+            return {"sgc": worst / 2, "model": worst}, worst
+
+        monkeypatch.setattr(gradcheck, "run_full_suite", run_full_suite)
+        return calls
+
+    def test_passing_suite_exits_0(self, monkeypatch, capsys):
+        calls = self.stub(monkeypatch, 2e-6)
+        assert cli.main(["gradcheck", "--seed", "4", "--seeds", "2"]) == 0
+        assert calls == [(4, True), (5, False)]
+        out = capsys.readouterr().out.splitlines()
+        floored = f"2 of 5 checks floored (|FD| and |analytic| both <= {gradcheck.ABS_FLOOR:.0e})"
+        assert [line for line in out if "floored" in line] == [f"seed {s}  {floored}" for s in (4, 5)]
+        assert out[-2:] == ["overall max rel err 2.000e-06 (tolerance 1e-04)", "gradcheck passed"]
+
+    def test_failing_suite_exits_1(self, monkeypatch, capsys):
+        self.stub(monkeypatch, 1e-3)
+        assert cli.main(["gradcheck"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "overall max rel err 1.000e-03 (tolerance 1e-04)"
+        assert "gradcheck passed" not in captured.out
+        assert captured.err == "gradcheck FAILED\n"
 
 
 FUZZ_CONFIG = "epochs = 1\nwarmup_epochs = 0\nbase_lr = 0.002\nbatch_size = 4\nchannel_divisor = 8\n"

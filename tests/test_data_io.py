@@ -225,6 +225,12 @@ class TestSyntheticGenerator:
         with pytest.raises(ConfigError):
             data_io.generate_synthetic(self.small_spec(noise_std=-1.0))
 
+    @pytest.mark.parametrize("conf", [1.5, -0.5, float("nan")])
+    def test_player_conf_out_of_range_rejected(self, conf):
+        """player_conf has no synth flag; the library refuses it outside [0, 1]."""
+        with pytest.raises(ConfigError, match=re.escape(f"player_conf must be in [0, 1], got {conf!r}")):
+            data_io.generate_synthetic(self.small_spec(player_conf=conf))
+
     @pytest.mark.parametrize("M, V, T", [(1, 1, 1), (3, 5, 16), (2, 17, 7)])
     @pytest.mark.parametrize("freq, vertical", [(1.0, 0), (2.0, 1)])
     def test_player_poses_are_the_joint_loop(self, M, V, T, freq, vertical):
@@ -262,9 +268,9 @@ class TestAppendObjects:
             assert np.array_equal(out[:, p, V:], objects)
 
     def test_no_objects_passthrough(self):
-        skeleton = np.zeros((2, 1, 3, 3))
+        skeleton = np.random.default_rng(0).standard_normal((2, 1, 3, 3))
         out = data_io.append_object_nodes(skeleton, np.zeros((2, 0, 3)))
-        assert out is skeleton
+        assert out.shape == skeleton.shape and np.array_equal(out, skeleton)
 
     @pytest.mark.parametrize("shape", [(3, 1, 3), (3, 0, 3), (2, 1, 2), (2, 3)])
     def test_objects_that_do_not_fit_rejected(self, shape):

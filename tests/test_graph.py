@@ -1,4 +1,6 @@
 """Topology construction and adjacency partition tests."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,23 +30,28 @@ def dense_from_edges(edges, n):
 
 class TestIntraTopology:
     def test_chain_single_joint_has_no_edges(self):
-        assert graph.build_intra_topology("chain", 1) == []
+        assert graph.layout_unit("chain", 1) == ([], (0,), (0,))
 
     def test_chain_five(self):
-        assert graph.build_intra_topology("chain", 5) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert graph.layout_unit("chain", 5) == ([(0, 1), (1, 2), (2, 3), (3, 4)], (2,), (0, 4))
 
     def test_coco17_has_18_edges(self):
-        edges = graph.build_intra_topology("coco17", 17)
+        edges, centres, holders = graph.layout_unit("coco17", 17)
         assert len(edges) == 18
         assert edges == graph.COCO17_EDGES
+        assert (centres, holders) == (graph.COCO17_CENTER_JOINTS, graph.COCO17_WRISTS)
 
     def test_coco17_wrong_joint_count(self):
         with pytest.raises(ConfigError):
-            graph.build_intra_topology("coco17", 16)
+            graph.layout_unit("coco17", 16)
+
+    def test_chain_without_joints_rejected(self):
+        with pytest.raises(ConfigError, match="chain layout needs at least one joint"):
+            graph.layout_unit("chain", 0)
 
     def test_unknown_layout(self):
         with pytest.raises(ConfigError):
-            graph.build_intra_topology("smpl", 24)
+            graph.layout_unit("smpl", 24)
 
 
 class TestObjects:
@@ -163,6 +170,15 @@ class TestValidation:
         topo = graph.GraphTopology(2, 3, inter_edges=[(0, 1)])
         with pytest.raises(ConfigError):
             topo.validate()
+
+    def test_edge_out_of_range_rejected(self):
+        topo = graph.GraphTopology(2, 3, inter_edges=[(0, 6)])
+        with pytest.raises(ConfigError, match=re.escape("edge (0,6) out of range for 6 nodes")):
+            topo.validate()
+
+    def test_no_persons_rejected(self):
+        with pytest.raises(ConfigError, match="need at least one person"):
+            graph.build_topology("chain", 0, 3)
 
 
 random_topologies = st.one_of(

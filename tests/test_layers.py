@@ -357,14 +357,14 @@ class TestMaxPool:
         T_out = (T - 1) // stride + 1
         return xp[:, :, stride * np.arange(T_out)[:, None] + np.arange(3)[None, :]]
 
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_matches_gather_restatement(self, stride):
         self.check_restatement(7, stride)
 
     @pytest.mark.parametrize("T", [1, 2, 3])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_short_clips_match_gather_restatement(self, stride, T):
-        """At T <= 2 a tap can read no in-clip frame."""
+        """At T <= 2 a tap can read no in-clip frame; at stride 3 the taps skip frames."""
         self.check_restatement(T, stride)
 
     def check_restatement(self, T, stride):

@@ -278,6 +278,11 @@ class TestAssembleSequence:
             reassign.assemble_sequence([make_frame(t, [(1, 0.9, 0.0, 0.0)])], 2, 2,
                                        num_frames=num_frames)
 
+    def test_wrong_keypoint_count_rejected(self):
+        frames = [make_frame(0, [(1, 0.9, 0.0, 0.0)]), make_frame(1, [(4, 0.9, 0.0, 0.0)], V=3)]
+        with pytest.raises(InputError, match="frame 1: track 4 has 3 keypoints, expected 2"):
+            reassign.assemble_sequence(frames, 2, 2)
+
     def test_determinism(self):
         frames = [
             make_frame(t, [(1, 0.7, float(t), 0.0), (2, 0.7, 0.0, float(t))])

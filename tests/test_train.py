@@ -392,6 +392,18 @@ class TestEvaluateAndCheckpoints:
         with pytest.raises(InputError):
             train.evaluate(ds, [(model, stats), (model, stats)], fuse=False)
 
+    def test_no_checkpoint_rejected(self):
+        ds = tiny_dataset(tiny_setup()[0], 2, np.random.default_rng(0))
+        with pytest.raises(InputError, match="need at least one checkpoint"):
+            train.evaluate(ds, [], fuse=True)
+
+    def test_fused_class_counts_must_match(self):
+        """Checked before any forward, so untrained models and no stats will do."""
+        ds = tiny_dataset(tiny_setup()[0], 5, np.random.default_rng(0))
+        models = [(MPGCN(*tiny_setup(num_classes=k), np.random.default_rng(0)), {}) for k in (5, 3)]
+        with pytest.raises(InputError, match="fused checkpoints must share num_classes"):
+            train.evaluate(ds, models, fuse=True)
+
     def test_checkpoint_roundtrip_exact_logits(self, tmp_path):
         _, ds, model, stats = self.trained(tmp_path)
         loaded, loaded_stats = train.load_checkpoint(str(tmp_path / "ckpt_final.pgt"))

@@ -15,10 +15,12 @@ The first form writes under OUT_DIR (which must not exist):
 - ``model.npz``: model arrays at four shapes (desk chain, desk with
   ``in_channels=2``, tiny chain, coco17 at paper width; model seed 123,
   input seed 7): initial parameters, training logits, input and parameter
-  gradients, BN buffers, one SGD step, a second forward and backward, the
-  frozen forward under ``gradcheck.freeze_kinks`` and under the freezer of
-  ``panobench/checks.py`` (the flag on the ReLU, MaxPoolT and STPAttention
-  instances only), and eval logits.
+  gradients, BN buffers, what the first training forward cached for its
+  kinks (every ReLU mask, ``MaxPoolT`` tap array and ``STPAttention`` gate
+  mask, keyed by module path), one SGD step, a second forward and
+  backward, the frozen forward under ``gradcheck.freeze_kinks`` and under
+  the freezer of ``panobench/checks.py`` (the flag on the ReLU, MaxPoolT
+  and STPAttention instances only), and eval logits.
 
 Run it once with PYTHONPATH at the parent's ``src`` and once at the change's,
 then ``--compare`` the two directories: every file other than ``.npz`` must be
@@ -95,6 +97,22 @@ def freeze_listed(module, frozen: bool) -> None:
         freeze_listed(child, frozen)
 
 
+def kinks(module, prefix=""):
+    """(module path, array) for what a training forward cached for each kink: ReLU
+    masks, MaxPoolT taps and STPAttention gate masks."""
+    cached = module._cache
+    if cached is not None:
+        kind = type(module).__name__
+        if kind == "ReLU":
+            yield prefix + "mask", cached
+        elif kind == "MaxPoolT":
+            yield prefix + "taps", cached[0]
+        elif kind == "STPAttention":
+            yield prefix + "mask", cached[-1]
+    for name, child in module._children:
+        yield from kinks(child, prefix + name + ".")
+
+
 def dump_model(name, layout, M, V, n, T, B, divisor, C) -> dict[str, np.ndarray]:
     from panograph import graph, gradcheck, nn, train
 
@@ -113,6 +131,8 @@ def dump_model(name, layout, M, V, n, T, B, divisor, C) -> dict[str, np.ndarray]
     def step(tag):
         model.zero_grad()
         logits = model.forward(streams, training=True)
+        if tag == "train1":
+            put("kinks", kinks(model))
         _, glogits = nn.cross_entropy(logits, labels)
         put(tag, [("logits", logits)] + list(enumerate(model.backward(glogits))))
         put(tag + ".grad", model.named_grads())
