@@ -7,7 +7,6 @@ T x (M*N') x 2C.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,34 +27,22 @@ class FeatureBundle:
 
 
 def bone_parents(topology: GraphTopology) -> np.ndarray:
-    """Parent index per local node, orienting the intra topology as a tree.
+    """Parent index per local node, read from person 0's intra edges in listed order.
 
-    BFS from the root joint (nose for coco17, joint 0 otherwise); the root
-    is its own parent, so its bone is the zero vector. Object nodes always
-    take their first attachment joint as parent.
+    Joint 0 is its own parent, so its bone is the zero vector. Each edge gives
+    its unplaced end the placed end as parent, so every other joint hangs from
+    the near end of its first limb and each object slot from its first holder.
+    One pass suffices because limbs are listed outward from joint 0, and
+    ``build_topology`` lists person 0's unit first, limbs before holder links.
     """
     npp = topology.nodes_per_person
-    V = topology.joints_per_person
-    adj: list[list[int]] = [[] for _ in range(npp)]
+    parents = np.full(npp, -1, dtype=int)
+    parents[0] = 0
     for i, j in topology.intra_edges:
         if i < npp and j < npp:  # person 0's block defines the shared tree
-            adj[i].append(j)
-            adj[j].append(i)
-    parents = np.full(npp, -1, dtype=int)
-    root = 0
-    parents[root] = root
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adj[u]):
-            if parents[v] == -1:
-                parents[v] = u
-                queue.append(v)
-    first_attachment: dict[int, int] = {}
-    for slot, joint in topology.object_attachments:
-        first_attachment.setdefault(slot, joint)
-    for slot, joint in first_attachment.items():
-        parents[V + slot] = joint
+            for near, far in ((i, j), (j, i)):
+                if parents[far] < 0 <= parents[near]:
+                    parents[far] = near
     if (parents == -1).any():
         raise ConfigError("intra topology is not connected; cannot orient bones")
     return parents

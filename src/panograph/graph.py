@@ -43,7 +43,6 @@ class GraphTopology:
     object_keypoints: int = 0
     intra_edges: list[tuple[int, int]] = field(default_factory=list)
     inter_edges: list[tuple[int, int]] = field(default_factory=list)
-    object_attachments: list[tuple[int, int]] = field(default_factory=list)
     center_joints: tuple[int, ...] = ()
 
     @property
@@ -80,7 +79,8 @@ def layout_unit(layout: str, num_joints: int):
 
     ``coco17`` gives the fixed 18-limb COCO list, the hips and the wrists;
     ``chain`` links joint i to joint i+1, with the middle joint as centre
-    and both ends as holders.
+    and both ends as holders. Limbs are listed outward: each limb's first
+    joint is joint 0, or a joint that an earlier limb reached.
     """
     if layout == "coco17":
         if num_joints != 17:
@@ -127,8 +127,7 @@ def build_topology(
         pairs = [(p, p + 1) for p in range(M - 1)]
     else:
         pairs = [(p, q) for p in range(M) for q in range(p + 1, M)]
-    attachments = [(slot, joint) for slot in range(num_objects) for joint in holders]
-    unit = limbs + [(num_joints + slot, joint) for slot, joint in attachments]
+    unit = limbs + [(num_joints + slot, joint) for slot in range(num_objects) for joint in holders]
     endpoints = list(centers) + [num_joints + slot for slot in range(num_objects)]
     topo = GraphTopology(
         num_persons=M,
@@ -136,7 +135,6 @@ def build_topology(
         object_keypoints=num_objects,
         intra_edges=[(i + p * npp, j + p * npp) for p in range(M) for i, j in unit],
         inter_edges=[(p * npp + e, q * npp + e) for p, q in pairs for e in endpoints],
-        object_attachments=attachments,
         center_joints=centers,
     )
     topo.validate()

@@ -99,15 +99,26 @@ class Dataset:
         return len(self.streams)
 
 
+# A z-scored training value lies within sqrt(n - 1) of 0 for n values per channel
+# (Samuelson), so below 1e6 for n up to 1e12; healthy clips stay below 20.
+NORMALISED_BOUND = 1e6
+
+
 def stack_batch(ds: Dataset, indices, norm_stats=None) -> list[np.ndarray]:
-    """Batch the four streams into (B, 2C, T, N) model inputs."""
+    """Batch the four streams into (B, 2C, T, N) model inputs; a normalised value that is
+    NaN or beyond NORMALISED_BOUND is InputError naming the sample's index and stream."""
     batch = []
     for key in STREAM_ORDER:
         x = np.stack([ds.streams[i][key] for i in indices])  # (B, T, N, 2C)
         x = np.transpose(x, (0, 3, 1, 2))
         if norm_stats is not None:
             mean, std = norm_stats[key]
-            x = (x - mean[None, :, None, None]) / std[None, :, None, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = (x - mean[None, :, None, None]) / std[None, :, None, None]
+            if not -NORMALISED_BOUND <= x.min() <= x.max() <= NORMALISED_BOUND:  # False on NaN
+                first = np.flatnonzero(~(np.abs(x) <= NORMALISED_BOUND))[0]
+                raise InputError(f"sample {indices[first // x[0].size]}: stream {key!r}: normalised "
+                                 f"value {x.flat[first]:.3g} is not within +-{NORMALISED_BOUND:g}")
         batch.append(x)
     return batch
 
@@ -233,7 +244,10 @@ def predict_scores(model: MPGCN, ds: Dataset, indices, norm_stats, batch_size=16
     scores = []
     for batch_idx in _batches(np.asarray(indices), batch_size):
         streams = stack_batch(ds, batch_idx, norm_stats)
-        logits = model.forward(streams, training=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow that reaches the logits fails below
+            logits = model.forward(streams, training=False)
+        if not np.isfinite(logits).all():
+            raise InputError(f"sample {batch_idx[0]}: logits are not finite")
         scores.append(softmax(logits))
     return np.concatenate(scores, axis=0)
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -500,6 +501,37 @@ class TestEval:
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {ckpt}: {expected}")
+
+    @pytest.mark.parametrize("case", ["joint-1e300", "max-float", "inf-logits"])
+    def test_extreme_values_exit_1(self, pipeline, tmp_path, capsys, case):
+        """A joint entry of 1e300 in every feature file, entries of +-1.5e308 in joint and
+        bone, or classifier weights of 1e308 that overflow the logits: one error line, and
+        no RuntimeWarning on the way."""
+        _, data, out = pipeline
+        ckpt = os.path.join(out, "ckpt_final.pgt")
+        if case == "inf-logits":
+            ckpt = str(tmp_path / "ckpt.pgt")
+            tensors = data_io.read_tensor_container(os.path.join(out, "ckpt_final.pgt"))
+            tensors["param.classifier.w"][:] = 1e308
+            data_io.write_tensor_container(ckpt, tensors)
+            expected = "error: sample 0: logits are not finite"
+        else:
+            data = shutil.copytree(data, str(tmp_path / "data"))
+            for name in os.listdir(os.path.join(data, "features")):
+                path = os.path.join(data, "features", name)
+                streams = data_io.read_tensor_container(path)
+                if case == "joint-1e300":
+                    streams["joint"][0, 0, 0] = 1e300
+                else:
+                    for key in ("joint", "bone"):
+                        streams[key][0, 0, :2] = 1.5e308, -1.5e308
+                data_io.write_tensor_container(path, streams)
+            expected = "error: sample 0: stream 'joint': normalised value "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(expected)
 
     def test_features_of_other_dims_exit_1(self, pipeline, tmp_path, capsys):
         """Features cached with --dims 2 do not fit a checkpoint trained on --dims 3."""

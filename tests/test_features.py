@@ -20,21 +20,33 @@ def topo():
     return graph.build_topology("chain", 2, 4, num_objects=1)
 
 
+COCO17_PARENTS = [0, 0, 0, 1, 2, 0, 0, 5, 6, 7, 8, 5, 6, 11, 12, 13, 14]
+
+
 class TestBoneParents:
     def test_chain_parents(self):
         t = graph.build_topology("chain", 1, 5)
         assert features.bone_parents(t).tolist() == [0, 0, 1, 2, 3]
+        # an object hangs from joint 0 and leaves every joint on j - 1
+        t = graph.build_topology("chain", 2, 5, num_objects=1)
+        assert features.bone_parents(t).tolist() == [0, 0, 1, 2, 3, 0]
+        t = graph.build_topology("chain", 2, 17, num_objects=1)
+        assert features.bone_parents(t).tolist() == [0] + list(range(16)) + [0]
 
     def test_object_parent_is_first_attachment(self, topo):
-        parents = features.bone_parents(topo)
-        # chain objects attach to joints (0, V-1); first listed wins
-        assert parents[4] == topo.object_attachments[0][1]
+        # chain objects attach to joints (0, V-1); the first listed holder wins
+        assert features.bone_parents(topo).tolist() == [0, 0, 1, 2, 0]
+
+    @pytest.mark.parametrize("objects", [0, 1])
+    def test_coco17_parents(self, objects):
+        t = graph.build_topology("coco17", 2, 17, num_objects=objects)
+        assert features.bone_parents(t).tolist() == COCO17_PARENTS + [9] * objects
 
     def test_coco_root_is_nose(self):
         t = graph.build_topology("coco17", 1, 17)
         parents = features.bone_parents(t)
         assert parents[0] == 0
-        assert parents[11] == 5  # l_hip hangs off l_shoulder in the BFS tree
+        assert parents[11] == 5  # l_hip hangs off l_shoulder, its first limb's near end
         # every non-root joint reaches the root by climbing parents
         for j in range(17):
             seen, cur = set(), j
@@ -43,10 +55,28 @@ class TestBoneParents:
                 seen.add(cur)
                 cur = parents[cur]
 
+    def test_limbs_listed_inward_rejected(self):
+        t = graph.GraphTopology(1, 3, intra_edges=[(1, 2), (0, 1)])
+        with pytest.raises(ConfigError, match="cannot orient bones"):
+            features.bone_parents(t)
+
     def test_disconnected_topology_rejected(self):
         t = graph.GraphTopology(1, 4, intra_edges=[(0, 1)])
         with pytest.raises(ConfigError):
             features.bone_parents(t)
+
+
+@pytest.mark.parametrize("layout,joints", [("chain", 5), ("coco17", 17)])
+def test_person_shift_moves_every_stream_with_it(layout, joints):
+    """Moving each person one slot on moves each stream's node blocks the same way."""
+    M, T = 3, 6
+    topo = graph.build_topology(layout, M, joints, num_objects=1)
+    x = random_skeleton(np.random.default_rng(9), T, M, joints + 1)
+    base = features.build_feature_bundle(x, topo).streams()
+    moved = features.build_feature_bundle(np.roll(x, 1, axis=1), topo).streams()
+    for key, stream in base.items():
+        expected = np.roll(stream.reshape(T, M, joints + 1, -1), 1, axis=1).reshape(stream.shape)
+        assert np.array_equal(moved[key], expected), key
 
 
 class TestJointStream:

@@ -53,6 +53,21 @@ class TestIntraTopology:
         with pytest.raises(ConfigError):
             graph.layout_unit("smpl", 24)
 
+    @pytest.mark.parametrize("layout,joints", [("chain", 1), ("chain", 5), ("chain", 17), ("coco17", 17)])
+    def test_limbs_listed_outward(self, layout, joints):
+        # bone_parents reads the tree in one pass: each limb starts at a reached joint
+        reached = {0}
+        for i, j in graph.layout_unit(layout, joints)[0]:
+            assert i in reached
+            reached.add(j)
+        assert reached == set(range(joints))
+
+    def test_person_0_unit_comes_first_limbs_before_holders(self):
+        topo = graph.build_topology("coco17", 2, 17, num_objects=2)
+        limbs = graph.COCO17_EDGES
+        holders = [(17 + s, w) for s in range(2) for w in graph.COCO17_WRISTS]
+        assert topo.intra_edges[: len(limbs) + len(holders)] == limbs + holders
+
 
 class TestObjects:
     def test_attach_ball_to_both_wrists(self):
@@ -74,7 +89,7 @@ class TestObjects:
     def test_no_objects_is_noop(self):
         base = graph.build_topology("chain", 2, 4, num_objects=0)
         assert base.object_keypoints == 0
-        assert base.object_attachments == []
+        assert len(base.intra_edges) == 2 * 3
 
     def test_negative_object_count_rejected(self):
         with pytest.raises(ConfigError):

@@ -295,6 +295,35 @@ class TestPermutation:
         assert np.max(np.abs(out - base)) < 1e-9
 
 
+def shift_persons(stream, M):
+    """Move each person slot of a (..., M*N') node axis one slot on, cyclically."""
+    return np.roll(stream.reshape(*stream.shape[:-1], M, -1), 1, axis=-2).reshape(stream.shape)
+
+
+class TestPersonShift:
+    """Same weights, same graph, persons moved one slot: `pairwise` and `none` graphs look
+    the same from every slot, so the pooled logits must not move; `linear` is the control."""
+
+    SHAPES = {"desk": ("chain", 3, 5, 1, 16, 4), "coco17": ("coco17", 3, 17, 1, 8, 8)}
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("variant", ["pairwise", "none", "linear"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_logits_invariant(self, shape, variant, training):
+        layout, M, V, n, T, divisor = self.SHAPES[shape]
+        cfg = ModelConfig(M, V, n, T, num_classes=5, channel_divisor=divisor)
+        topo = graph.build_topology(layout, M, V, n, variant)
+        model = MPGCN(cfg, graph.partition_and_normalize(topo).A_hat, np.random.default_rng(0))
+        streams = random_streams(np.random.default_rng(1), cfg, 4)
+        base = model.forward(streams, training=training)
+        moved = model.forward([shift_persons(s, M) for s in streams], training=training)
+        rel = np.abs(moved - base).max() / np.abs(base).max()
+        if variant == "linear":  # the end persons of a line are not like the middle one
+            assert rel > 1e-3
+        else:
+            assert rel < 1e-12
+
+
 class TestParameterCounts:
     def test_nba_configuration(self):
         cfg = ModelConfig(12, 17, 2, 72, 9)

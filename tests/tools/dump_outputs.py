@@ -1,7 +1,7 @@
 """Dump what the program writes, to check that a change keeps every byte.
 
     PYTHONPATH=src python tests/tools/dump_outputs.py OUT_DIR
-    python tests/tools/dump_outputs.py --compare OUT_A OUT_B
+    PYTHONPATH=src python tests/tools/dump_outputs.py --compare OUT_A OUT_B
 
 The first form writes under OUT_DIR (which must not exist):
 
@@ -25,8 +25,9 @@ The first form writes under OUT_DIR (which must not exist):
 Run it once with PYTHONPATH at the parent's ``src`` and once at the change's,
 then ``--compare`` the two directories: every file other than ``.npz`` must be
 byte-identical and every array ``np.array_equal`` with the same dtype. It
-exits 0 when everything matches and 1 otherwise. pytest does not collect
-this file.
+exits 0 when everything matches and 1 otherwise. Under a ``.pgt`` file that
+differs it lists each entry that differs, read with
+``panograph.data_io.read_tensor_container``. pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -166,6 +167,32 @@ def files(root: str) -> set[str]:
     return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names}
 
 
+def spans(ix: np.ndarray) -> str:
+    """Sorted distinct indices as runs: ``[0, 1, 2, 9]`` gives ``0-2, 9``."""
+    runs = np.split(ix, np.flatnonzero(np.diff(ix) != 1) + 1)
+    return ", ".join(str(r[0]) if len(r) == 1 else f"{r[0]}-{r[-1]}" for r in runs)
+
+
+def entry_differences(pa: str, pb: str) -> list[str]:
+    """One line per entry that differs between two tensor containers: its count of
+    differing values and, on each axis where not every index differs, the ones that do."""
+    from panograph.data_io import read_tensor_container
+
+    ta, tb = read_tensor_container(pa), read_tensor_container(pb)
+    lines = [f"    {name}: in one side only" for name in sorted(set(ta) ^ set(tb))]
+    for name in sorted(set(ta) & set(tb)):
+        x, y = ta[name], tb[name]
+        if x.dtype != y.dtype or x.shape != y.shape:
+            lines.append(f"    {name}: {x.dtype}{x.shape} against {y.dtype}{y.shape}")
+            continue
+        at = np.argwhere(x != y)
+        if len(at):
+            axes = [np.unique(col) for col in at.T]
+            where = "; ".join(f"axis {k} at {spans(ix)}" for k, ix in enumerate(axes) if len(ix) < x.shape[k])
+            lines.append(f"    {name}: {len(at)} of {x.size} values differ" + (f", {where}" if where else ""))
+    return lines
+
+
 def compare(a: str, b: str) -> int:
     fa, fb = files(a), files(b)
     bad = [f"only in {root}: {f}" for root, only in ((a, fa - fb), (b, fb - fa)) for f in sorted(only)]
@@ -175,7 +202,8 @@ def compare(a: str, b: str) -> int:
         if not rel.endswith(".npz"):
             with open(pa, "rb") as ha, open(pb, "rb") as hb:
                 if ha.read() != hb.read():
-                    bad.append(f"differs: {rel}")
+                    details = entry_differences(pa, pb) if rel.endswith(".pgt") else []
+                    bad.append("\n".join([f"differs: {rel}"] + details))
             continue
         with np.load(pa) as za, np.load(pb) as zb:
             if set(za.files) != set(zb.files):
