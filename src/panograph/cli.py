@@ -174,10 +174,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if len(args.ckpt) > 1 and not args.fuse:
+        raise InputError("multiple checkpoints require --fuse")
     manifest = data_io.load_manifest(args.data, sample_keys=("id", "label"))
     ds = _load_dataset(args.data, manifest)
     loaded = [train.load_checkpoint(path) for path in args.ckpt]
-    result = train.evaluate(ds, loaded, fuse=args.fuse)
+    result = train.evaluate(ds, loaded)
 
     def summary(metrics: dict) -> dict:
         return {"mca": metrics["mca"], "mpca": metrics["mpca"], "confusion": metrics["confusion"].tolist()}

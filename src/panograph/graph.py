@@ -35,7 +35,8 @@ class GraphTopology:
 
     Node indexing is global: person p owns indices [p*Np, (p+1)*Np) where
     Np = joints_per_person + object_keypoints. Object slot s of person p
-    sits at index p*Np + V + s.
+    sits at index p*Np + V + s. Make one with ``build_topology``; a
+    hand-built instance is not checked.
     """
 
     num_persons: int
@@ -52,26 +53,6 @@ class GraphTopology:
     @property
     def num_nodes(self) -> int:
         return self.num_persons * self.nodes_per_person
-
-    def validate(self) -> None:
-        n = self.num_nodes
-        npp = self.nodes_per_person
-        seen = set()
-        for i, j in self.intra_edges + self.inter_edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ConfigError(f"edge ({i},{j}) out of range for {n} nodes")
-            if i == j:
-                raise ConfigError(f"self loop ({i},{j}) not allowed in edge lists")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ConfigError(f"duplicate edge {key}")
-            seen.add(key)
-        for i, j in self.intra_edges:
-            if i // npp != j // npp:
-                raise ConfigError(f"intra edge ({i},{j}) spans two persons")
-        for i, j in self.inter_edges:
-            if i // npp == j // npp:
-                raise ConfigError(f"inter edge ({i},{j}) stays within one person")
 
 
 def layout_unit(layout: str, num_joints: int):
@@ -112,6 +93,10 @@ def build_topology(
     Inter-person links join two persons' center joints and same-slot
     object nodes: ``pairwise`` links every unordered pair of persons,
     ``linear`` consecutive persons only, and ``none`` no persons.
+
+    Once the arguments pass, the edges are valid by construction: each is in
+    range, none is a self loop or repeats, intra edges stay inside one person
+    and inter edges join two different persons.
     """
     if num_persons < 1:
         raise ConfigError("need at least one person")
@@ -129,7 +114,7 @@ def build_topology(
         pairs = [(p, q) for p in range(M) for q in range(p + 1, M)]
     unit = limbs + [(num_joints + slot, joint) for slot in range(num_objects) for joint in holders]
     endpoints = list(centers) + [num_joints + slot for slot in range(num_objects)]
-    topo = GraphTopology(
+    return GraphTopology(
         num_persons=M,
         joints_per_person=num_joints,
         object_keypoints=num_objects,
@@ -137,8 +122,6 @@ def build_topology(
         inter_edges=[(p * npp + e, q * npp + e) for p, q in pairs for e in endpoints],
         center_joints=centers,
     )
-    topo.validate()
-    return topo
 
 
 @dataclass
@@ -160,7 +143,6 @@ def normalize_symmetric(A: np.ndarray) -> np.ndarray:
 
 def partition_and_normalize(topology: GraphTopology) -> PartitionedAdjacency:
     """Build the (3, MN', MN') normalized partitions from a topology."""
-    topology.validate()
     n = topology.num_nodes
     A = np.zeros((3, n, n))
     A[0] = np.eye(n)

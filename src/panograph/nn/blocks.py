@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .core import WORKSPACE, Module, kaiming_uniform
+from .core import Module, kaiming_uniform, workspace
 from .layers import (
     BatchNorm,
     Conv1x1,
@@ -19,7 +19,7 @@ from .layers import (
 def _rebuild(name, bn, x=None, res=None):
     """relu(bn's training output, plus x or res(x) if x is given) as the forward made it,
     from bn's cached x_hat, in workspace buffer ``name``; res re-caches x."""
-    y = bn.affine(WORKSPACE.get(name, bn._saved()[0].shape))
+    y = bn.affine(workspace(name, bn._saved()[0].shape))
     if x is not None:
         y += x if res is None else res.forward(x, training=True)
     return np.maximum(y, 0.0, out=y)
@@ -108,7 +108,7 @@ class MultiScaleTCN(Module):
     def backward(self, grad_out):
         (x,), bc, s = self._saved(), self.branch_channels, self.stride
         B, C, T, N = x.shape
-        gy = WORKSPACE.get("grad", (B, 4 * bc, T, N))  # stale: every entry is written below
+        gy = workspace("grad", (B, 4 * bc, T, N))  # stale: every entry is written below
         for i, b in enumerate(self.branches):
             gy[:, i * bc : (i + 1) * bc] = b.backward(grad_out[:, i * bc : (i + 1) * bc])
         gy[:, 3 * bc :, ::s] = grad_out[:, 3 * bc :]

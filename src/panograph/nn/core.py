@@ -105,29 +105,23 @@ class Module:
         return self._cache
 
 
-class Workspace:
-    """Scratch arrays that never leave a call, one flat float64 buffer per name.
+_SCRATCH: dict[str, np.ndarray] = {}
 
-    ``get(name, shape)`` returns a view of the buffer's first prod(shape)
-    entries, grown to the largest request: a freed buffer of many megabytes
-    goes back to the OS, and a fresh one faults its pages in again. Contents
-    are stale. Views alive together need distinct names; uses that never
-    overlap share one ("grad", the SGC's and the TCN's backward scratch).
-    The layers share one instance from one thread at a time.
+
+def workspace(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A scratch array that never leaves a call: a view of the first prod(shape)
+    entries of one flat float64 buffer per name, grown to the largest request.
+
+    A freed buffer of many megabytes goes back to the OS, and a fresh one
+    faults its pages in again. Contents are stale. Views alive together need
+    distinct names; uses that never overlap share one ("grad", the SGC's and
+    the TCN's backward scratch). The layers call it from one thread at a time.
     """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
-WORKSPACE = Workspace()
+    size = math.prod(shape)
+    buf = _SCRATCH.get(name)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[name] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

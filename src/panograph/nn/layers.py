@@ -6,7 +6,7 @@ import functools
 import numpy as np
 
 from ..errors import ConfigError, ContractError
-from .core import WORKSPACE, Module, kaiming_uniform
+from .core import Module, kaiming_uniform, workspace
 
 
 class ReLU(Module):
@@ -88,7 +88,7 @@ class TemporalConv(Module):
         B, C, T, N = x.shape
         T_out, taps = _frame_taps(T, self.stride, (-self.dilation, 0, self.dilation))
         shape = (B, C, self.kernel, T_out, N)
-        xw = np.empty(shape, dtype=x.dtype) if name is None else WORKSPACE.get(name, shape)
+        xw = np.empty(shape, dtype=x.dtype) if name is None else workspace(name, shape)
         for k, (t, f) in enumerate(taps):
             xw[:, :, k, t] = x[:, :, f]
             xw[:, :, k, : t.start] = 0.0
@@ -287,7 +287,7 @@ class SpatialGraphConv(Module):
         B, C, T, _ = x.shape
         M, P, _ = self._block_idx.shape
         x4 = self._by_person(x)
-        z = WORKSPACE.get("sgc.z", (B, len(self._blocks), C * T, M, P))
+        z = workspace("sgc.z", (B, len(self._blocks), C * T, M, P))
         for i, (k, a) in enumerate(self._blocks):
             e = self._params[f"E{k}"]
             if a.ndim == 1:  # node scale
@@ -330,10 +330,10 @@ class SpatialGraphConv(Module):
         z = self._stack(x)
         L = z.shape[1]
         dw = np.matmul(z.reshape(B, L * C, T * N), g2.transpose(0, 2, 1)).sum(axis=0)
-        gz = WORKSPACE.get("grad", z.shape)
+        gz = workspace("grad", z.shape)
         np.matmul(self._stacked_w(), g2, out=gz.reshape(B, L * C, T * N))
         x4 = self._by_person(x)
-        gx, step = np.empty(x.shape), WORKSPACE.get("sgc.step", x.shape)
+        gx, step = np.empty(x.shape), workspace("sgc.step", x.shape)
         for i, (k, a) in enumerate(self._blocks):
             self._grads[f"W{k}"] += dw[i * C : (i + 1) * C]
             e, de = self._params[f"E{k}"], self._grads[f"E{k}"].reshape(-1)

@@ -104,21 +104,20 @@ class Dataset:
 NORMALISED_BOUND = 1e6
 
 
-def stack_batch(ds: Dataset, indices, norm_stats=None) -> list[np.ndarray]:
+def stack_batch(ds: Dataset, indices, norm_stats) -> list[np.ndarray]:
     """Batch the four streams into (B, 2C, T, N) model inputs; a normalised value that is
     NaN or beyond NORMALISED_BOUND is InputError naming the sample's index and stream."""
     batch = []
     for key in STREAM_ORDER:
         x = np.stack([ds.streams[i][key] for i in indices])  # (B, T, N, 2C)
         x = np.transpose(x, (0, 3, 1, 2))
-        if norm_stats is not None:
-            mean, std = norm_stats[key]
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = (x - mean[None, :, None, None]) / std[None, :, None, None]
-            if not -NORMALISED_BOUND <= x.min() <= x.max() <= NORMALISED_BOUND:  # False on NaN
-                first = np.flatnonzero(~(np.abs(x) <= NORMALISED_BOUND))[0]
-                raise InputError(f"sample {indices[first // x[0].size]}: stream {key!r}: normalised "
-                                 f"value {x.flat[first]:.3g} is not within +-{NORMALISED_BOUND:g}")
+        mean, std = norm_stats[key]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (x - mean[None, :, None, None]) / std[None, :, None, None]
+        if not -NORMALISED_BOUND <= x.min() <= x.max() <= NORMALISED_BOUND:  # False on NaN
+            first = np.flatnonzero(~(np.abs(x) <= NORMALISED_BOUND))[0]
+            raise InputError(f"sample {indices[first // x[0].size]}: stream {key!r}: normalised "
+                             f"value {x.flat[first]:.3g} is not within +-{NORMALISED_BOUND:g}")
         batch.append(x)
     return batch
 
@@ -270,12 +269,7 @@ def evaluate_model(model: MPGCN, ds: Dataset, indices, norm_stats, batch_size=16
     return metrics_from_predictions(scores.argmax(axis=1), ds.labels[indices], scores.shape[1])
 
 
-def evaluate(
-    ds: Dataset,
-    models_and_stats: list[tuple[MPGCN, dict]],
-    fuse: bool = False,
-    batch_size: int = 16,
-) -> dict:
+def evaluate(ds: Dataset, models_and_stats: list[tuple[MPGCN, dict]]) -> dict:
     """MCA/MPCA/confusion for one model, or late fusion over several, over
     every sample; ``"val"`` holds the same metrics over the validation split
     (None when it is empty).
@@ -285,15 +279,13 @@ def evaluate(
     """
     if not models_and_stats:
         raise InputError("need at least one checkpoint")
-    if not fuse and len(models_and_stats) > 1:
-        raise InputError("multiple checkpoints require --fuse")
     indices = np.arange(len(ds))
     num_classes = models_and_stats[0][0].config.num_classes
     for model, _ in models_and_stats:
         if model.config.num_classes != num_classes:
             raise InputError("fused checkpoints must share num_classes")
         _check_dataset(ds, model.config)
-    total = sum(predict_scores(model, ds, indices, stats, batch_size) for model, stats in models_and_stats)
+    total = sum(predict_scores(model, ds, indices, stats) for model, stats in models_and_stats)
     pred = (total / len(models_and_stats)).argmax(axis=1)
     result = metrics_from_predictions(pred, ds.labels, num_classes)
     val = validation_mask(len(ds))

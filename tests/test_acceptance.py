@@ -249,7 +249,7 @@ def test_criterion_7_schedule_and_loss_anchors(capsys):
     ds = train.Dataset(streams, rng.integers(0, tiny.num_classes, size=6))
     stats = train.compute_norm_stats(ds, range(6))
     single = train.evaluate(ds, [(model, stats)])
-    fused = train.evaluate(ds, [(model, stats), (model, stats)], fuse=True)
+    fused = train.evaluate(ds, [(model, stats), (model, stats)])
     fuse_ok = (
         single["mca"] == fused["mca"]
         and single["mpca"] == fused["mpca"]

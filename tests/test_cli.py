@@ -1,5 +1,7 @@
 """CLI pipeline tests (in-process via cli.main)."""
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -568,7 +570,12 @@ class TestEval:
         _, data, out = pipeline
         ckpt = os.path.join(out, "ckpt_final.pgt")
         assert cli.main(["eval", "--ckpt", ckpt, "--ckpt", ckpt, "--data", data]) == 1
-        assert "fuse" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: multiple checkpoints require --fuse\n"
+
+    def test_fuse_rule_checked_before_any_file_is_read(self, tmp_path, capsys):
+        missing = [str(tmp_path / name) for name in ("a.pgt", "b.pgt", "data")]
+        assert cli.main(["eval", "--ckpt", missing[0], "--ckpt", missing[1], "--data", missing[2]]) == 1
+        assert capsys.readouterr().err == "error: multiple checkpoints require --fuse\n"
 
 
 class TestGradcheck:
@@ -696,3 +703,101 @@ def test_ingest_takes_any_synthetic_spec(persons, joints, objects, frames, dropo
                 os.path.join(data, "features", entry["id"] + ".pgt"))
             for stream in streams.values():
                 assert stream.shape == (frames, persons * nodes, 6) and np.isfinite(stream).all()
+
+
+EXTREME_CONFIG = "epochs = 2\nwarmup_epochs = 1\nbase_lr = 0.01\nbatch_size = 4\nchannel_divisor = 8\n"
+EXTREME_VALUES = (1e300, -1e300, np.finfo(float).max, -np.finfo(float).max, 5e-324, -0.0, 1e154)
+# where one extreme value goes -> the stages that read it, in pipeline order
+EXTREME_TARGETS = {
+    "kpts_x": ["reassign", "features", "train", "eval"],
+    "kpts_visibility": ["reassign", "features", "train", "eval"],
+    "bbox": ["reassign", "features", "train", "eval"],
+    "conf": ["reassign", "features", "train", "eval"],
+    "slot_tensor": ["features", "train", "eval"],
+    "feature_file": ["train", "eval"],
+    "param": ["eval"],
+    "running_var": ["eval"],
+    "norm_mean": ["eval"],
+}
+STAGE_OUTPUTS = {"reassign": "data/tensors", "features": "data/features", "train": "run"}
+
+
+@pytest.fixture(scope="module")
+def extreme_base(tmp_path_factory):
+    """Six clips of 2 persons, 3 joints and 8 frames through reassign and features, and a
+    checkpoint trained on them for 2 epochs at channel divisor 8."""
+    root = tmp_path_factory.mktemp("extreme_base")
+    data = str(root / "data")
+    assert cli.main(["synth", "--classes", "2", "--per-class", "3", "--persons", "2",
+                     "--joints", "3", "--frames", "8", "--out", data]) == 0
+    assert cli.main(["reassign", "--data", data]) == 0
+    assert cli.main(["features", "--data", data]) == 0
+    (root / "train.cfg").write_text(EXTREME_CONFIG)
+    assert cli.main(["train", "--config", str(root / "train.cfg"), "--data", data,
+                     "--out", str(root / "run")]) == 0
+    return str(root)
+
+
+def plant_extreme(work: str, target: str, value: float, clip: int, pos: int) -> None:
+    """Write ``value`` into one entry of one file of the copy at ``work``."""
+    if target in ("kpts_x", "kpts_visibility", "bbox", "conf"):
+        path = os.path.join(work, "data", "samples", f"s{clip:04d}.jsonl")
+        records = [json.loads(line) for line in open(path)]
+        rec = records[pos % len(records)]
+        if target == "conf":
+            rec["conf"] = value
+        elif target == "bbox":
+            rec["bbox"][pos % 4] = value
+        else:
+            rec["kpts"][pos % len(rec["kpts"])][0 if target == "kpts_x" else 2] = value
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+        return
+    if target in ("slot_tensor", "feature_file"):
+        path = os.path.join(work, "data", "tensors" if target == "slot_tensor" else "features",
+                            f"s{clip:04d}.pgt")
+    else:
+        path = os.path.join(work, "run", "ckpt_final.pgt")
+    tensors = data_io.read_tensor_container(path)
+    if target == "slot_tensor":
+        names = ["skeleton"]
+    elif target == "feature_file":
+        names = list(STREAM_ORDER)
+    else:
+        prefix, suffix = {"param": ("param.", ""), "running_var": ("buffer.", ".running_var"),
+                          "norm_mean": ("norm.", ".mean")}[target]
+        names = sorted(n for n in tensors if n.startswith(prefix) and n.endswith(suffix))
+    x = tensors[names[pos % len(names)]]
+    x.flat[(pos // len(names)) % x.size] = value
+    data_io.write_tensor_container(path, tensors)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("target", list(EXTREME_TARGETS))
+@settings(max_examples=7, deadline=None, derandomize=True)  # 9 x 7 cases in about 6 s
+@given(value=st.sampled_from(EXTREME_VALUES), clip=st.integers(0, 5), pos=st.integers(0, 2**20))
+def test_extreme_finite_value_exits_0_or_1(extreme_base, target, value, clip, pos):
+    """One extreme but finite value in one entry of a detection record, slot tensor, feature
+    file or checkpoint tensor: each stage that reads it exits 0 with every tensor file it
+    wrote readable (the reader refuses NaN and inf), or exits 1 with exactly one ``error:``
+    line; a RuntimeWarning on the way is an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = shutil.copytree(extreme_base, os.path.join(tmp, "work"))
+        plant_extreme(work, target, value, clip, pos)
+        argv = {"train": ["--config", os.path.join(work, "train.cfg"), "--out", os.path.join(work, "run")],
+                "eval": ["--ckpt", os.path.join(work, "run", "ckpt_final.pgt")]}
+        for stage in EXTREME_TARGETS[target]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([stage, "--data", os.path.join(work, "data")] + argv.get(stage, []))
+            what = f"{target}={value!r} in clip {clip} at {pos}: {stage}"
+            assert code in (0, 1), what
+            if code == 1:
+                assert len(err.getvalue().splitlines()) == 1, f"{what}\n{err.getvalue()}"
+                assert err.getvalue().startswith("error:"), f"{what}\n{err.getvalue()}"
+                break
+            if stage in STAGE_OUTPUTS:
+                out_dir = os.path.join(work, STAGE_OUTPUTS[stage])
+                for name in os.listdir(out_dir):
+                    if name.endswith(".pgt"):
+                        data_io.read_tensor_container(os.path.join(out_dir, name))

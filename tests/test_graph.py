@@ -1,5 +1,5 @@
 """Topology construction and adjacency partition tests."""
-import re
+import itertools
 
 import numpy as np
 import pytest
@@ -166,31 +166,6 @@ class TestNormalization:
 
 
 class TestValidation:
-    def test_duplicate_edge_rejected(self):
-        topo = graph.GraphTopology(1, 3, intra_edges=[(0, 1), (1, 0)])
-        with pytest.raises(ConfigError):
-            topo.validate()
-
-    def test_self_loop_rejected(self):
-        topo = graph.GraphTopology(1, 3, intra_edges=[(1, 1)])
-        with pytest.raises(ConfigError):
-            topo.validate()
-
-    def test_intra_edge_across_persons_rejected(self):
-        topo = graph.GraphTopology(2, 3, intra_edges=[(0, 4)])
-        with pytest.raises(ConfigError):
-            topo.validate()
-
-    def test_inter_edge_within_person_rejected(self):
-        topo = graph.GraphTopology(2, 3, inter_edges=[(0, 1)])
-        with pytest.raises(ConfigError):
-            topo.validate()
-
-    def test_edge_out_of_range_rejected(self):
-        topo = graph.GraphTopology(2, 3, inter_edges=[(0, 6)])
-        with pytest.raises(ConfigError, match=re.escape("edge (0,6) out of range for 6 nodes")):
-            topo.validate()
-
     def test_no_persons_rejected(self):
         with pytest.raises(ConfigError, match="need at least one person"):
             graph.build_topology("chain", 0, 3)
@@ -202,7 +177,7 @@ random_topologies = st.one_of(
         st.just("chain"),
         st.integers(1, 4),
         st.integers(1, 8),
-        st.integers(0, 2),
+        st.integers(0, 3),
         st.sampled_from(graph.INTER_VARIANTS),
     ),
     st.builds(
@@ -210,15 +185,52 @@ random_topologies = st.one_of(
         st.just("coco17"),
         st.integers(1, 4),
         st.just(17),
-        st.integers(0, 2),
+        st.integers(0, 3),
         st.sampled_from(graph.INTER_VARIANTS),
     ),
 )
 
 
+def assert_valid_topology(topo):
+    """The five edge invariants that build_topology keeps by construction."""
+    n, npp = topo.num_nodes, topo.nodes_per_person
+    edges = topo.intra_edges + topo.inter_edges
+    assert all(0 <= i < n and 0 <= j < n for i, j in edges), "edge out of range"
+    assert all(i != j for i, j in edges), "self loop"
+    assert len({frozenset(e) for e in edges}) == len(edges), "repeated edge"
+    assert all(i // npp == j // npp for i, j in topo.intra_edges), "intra edge spans two persons"
+    assert all(i // npp != j // npp for i, j in topo.inter_edges), "inter edge within one person"
+
+
+def test_every_topology_the_strategy_draws_is_valid():
+    """The whole space random_topologies draws from, enumerated: both layouts, every
+    variant, 1-4 persons, 0-3 objects, and 1-8 chain joints."""
+    shapes = [("chain", v) for v in range(1, 9)] + [("coco17", 17)]
+    for (layout, V), M, n, variant in itertools.product(shapes, range(1, 5), range(4), graph.INTER_VARIANTS):
+        assert_valid_topology(graph.build_topology(layout, M, V, n, variant))
+
+
+@pytest.mark.parametrize(
+    "topo,problem",
+    [
+        (graph.GraphTopology(1, 3, intra_edges=[(0, 1), (1, 0)]), "repeated edge"),
+        (graph.GraphTopology(1, 3, intra_edges=[(1, 1)]), "self loop"),
+        (graph.GraphTopology(2, 3, intra_edges=[(0, 4)]), "intra edge spans two persons"),
+        (graph.GraphTopology(2, 3, inter_edges=[(0, 1)]), "inter edge within one person"),
+        (graph.GraphTopology(2, 3, inter_edges=[(0, 6)]), "edge out of range"),
+    ],
+    ids=["duplicate", "self_loop", "intra_across", "inter_within", "out_of_range"],
+)
+def test_invalid_topology_fails_the_check(topo, problem):
+    """Negative controls: each hand-built topology breaks one invariant, and the check names it."""
+    with pytest.raises(AssertionError, match=problem):
+        assert_valid_topology(topo)
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_topologies)
 def test_partition_invariants(topo):
+    assert_valid_topology(topo)
     part = graph.partition_and_normalize(topo)
     n = topo.num_nodes
     # symmetry is exact by construction

@@ -20,7 +20,7 @@ from panograph.nn import (
     TemporalConv,
 )
 from panograph.nn.blocks import _ConvBranch
-from panograph.nn.core import WORKSPACE, Module, kaiming_uniform
+from panograph.nn.core import _SCRATCH, Module, kaiming_uniform
 
 
 def identity_adjacency(n, K=3):
@@ -230,7 +230,7 @@ class TestSpatialGraphConv:
                 assert np.array_equal(grad, grads0[name]), name
         results = [out_a, out_b, gx_a, gx_b]
         for i, r in enumerate(results):
-            assert not any(np.shares_memory(r, buf) for buf in WORKSPACE._buffers.values())
+            assert not any(np.shares_memory(r, buf) for buf in _SCRATCH.values())
             assert not any(np.shares_memory(r, other) for other in results[i + 1 :])
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "per-person"])

@@ -324,6 +324,76 @@ class TestPersonShift:
             assert rel < 1e-12
 
 
+def shift_both(matrix, M):
+    """Move each person slot of an (M*N', M*N') matrix one slot on, rows and columns."""
+    n = matrix.shape[0] // M
+    return np.roll(matrix.reshape(M, n, M, n), 1, axis=(0, 2)).reshape(matrix.shape)
+
+
+def plant_hub_error(model):
+    """Scale one cross-person entry of the first hub partition of every SGC by 1.01."""
+    for name, child in model._children:
+        plant_hub_error(child)
+    if type(model).__name__ == "SpatialGraphConv":
+        k, hubs, on_hubs, cross = model._hubs[0]
+        cross = cross.copy()
+        cross.flat[np.flatnonzero(cross)[0]] *= 1.01
+        model._hubs[0] = (k, hubs, on_hubs, cross)
+
+
+class TestPersonShiftGradients:
+    """After a training forward and backward, a cyclic person shift of the input shifts the
+    input gradients and each dE_k (rows and columns) with it and leaves every other
+    parameter gradient as it was. The error of each tensor is taken relative to its
+    largest entry; the bound of 1e-8 sits far above float64 rounding (at most 3e-10, in
+    a BN gamma whose gradient is a cancelling sum) and far below what a broken symmetry
+    gives: `linear` edges move parameter gradients by more than 1, and a 1 % error in
+    one hub entry of every SGC moves some tensor by more than 1e-2."""
+
+    BOUND = 1e-8
+    SHAPES = {"desk": ("chain", 3, 5, 1, 4), "coco17": ("coco17", 3, 17, 1, 8)}
+
+    def errors(self, shape, variant, planted=False):
+        """Per-tensor relative errors: (input gradients, dE_k, other parameter gradients)."""
+        layout, M, V, n, divisor = self.SHAPES[shape]
+        cfg = ModelConfig(M, V, n, 8, num_classes=4, channel_divisor=divisor)
+        topo = graph.build_topology(layout, M, V, n, variant)
+        model = MPGCN(cfg, graph.partition_and_normalize(topo).A_hat, np.random.default_rng(0))
+        if planted:
+            plant_hub_error(model)
+        rng = np.random.default_rng(1)
+        streams = random_streams(rng, cfg, 3)
+        labels = rng.integers(0, cfg.num_classes, size=3)
+
+        def run(inputs):
+            model.zero_grad()
+            _, glogits = cross_entropy(model.forward(inputs, training=True), labels)
+            return model.backward(glogits), {name: g.copy() for name, g in model.named_grads()}
+
+        (gx, grads), (gx_moved, grads_moved) = run(streams), run([shift_persons(s, M) for s in streams])
+
+        def rel(expected, got):  # a tensor that is all zeros (E_2 without inter edges) must stay so
+            scale, diff = np.abs(expected).max(), np.abs(got - expected).max()
+            return diff / scale if scale else float(diff != 0)
+
+        inputs = [rel(shift_persons(g, M), h) for g, h in zip(gx, gx_moved)]
+        is_e = {name: re.fullmatch(r"(.*\.)?E\d", name) is not None for name in grads}
+        e = [rel(shift_both(grads[name], M), grads_moved[name]) for name in grads if is_e[name]]
+        other = [rel(grads[name], grads_moved[name]) for name in grads if not is_e[name]]
+        assert e and other
+        return max(inputs), max(e), max(other)
+
+    @pytest.mark.parametrize("shape,variant", [("desk", "pairwise"), ("desk", "none"), ("coco17", "pairwise")])
+    def test_gradients_move_with_the_persons(self, shape, variant):
+        assert max(self.errors(shape, variant)) < self.BOUND
+
+    def test_linear_edges_break_it(self):
+        assert self.errors("desk", "linear")[2] > 1.0
+
+    def test_planted_hub_error_breaks_it(self):
+        assert max(self.errors("coco17", "pairwise", planted=True)) > 1e-2
+
+
 class TestParameterCounts:
     def test_nba_configuration(self):
         cfg = ModelConfig(12, 17, 2, 72, 9)

@@ -194,7 +194,8 @@ class TestSplitAndBatching:
     def test_stack_batch_layout(self):
         cfg, _ = tiny_setup()
         ds = tiny_dataset(cfg, 3, np.random.default_rng(0))
-        batch = train.stack_batch(ds, [0, 2])
+        identity = (np.zeros(2 * cfg.in_channels), np.ones(2 * cfg.in_channels))
+        batch = train.stack_batch(ds, [0, 2], dict.fromkeys(STREAM_ORDER, identity))
         assert len(batch) == 4
         for x in batch:
             assert x.shape == (2, 2 * cfg.in_channels, cfg.num_frames, cfg.num_nodes)
@@ -364,7 +365,7 @@ class TestEvaluateAndCheckpoints:
     def test_fused_self_evaluation_identity(self, tmp_path):
         _, ds, model, stats = self.trained(tmp_path)
         single = train.evaluate(ds, [(model, stats)])
-        fused = train.evaluate(ds, [(model, stats), (model, stats)], fuse=True)
+        fused = train.evaluate(ds, [(model, stats), (model, stats)])
         assert single["mca"] == fused["mca"]
         assert single["mpca"] == fused["mpca"]
         assert np.array_equal(single["confusion"], fused["confusion"])
@@ -387,22 +388,17 @@ class TestEvaluateAndCheckpoints:
         with pytest.raises(InputError, match=f"label {label} out of range for 5 classes"):
             train.evaluate(ds, [(model, stats)])
 
-    def test_multiple_without_fuse_rejected(self, tmp_path):
-        _, ds, model, stats = self.trained(tmp_path)
-        with pytest.raises(InputError):
-            train.evaluate(ds, [(model, stats), (model, stats)], fuse=False)
-
     def test_no_checkpoint_rejected(self):
         ds = tiny_dataset(tiny_setup()[0], 2, np.random.default_rng(0))
         with pytest.raises(InputError, match="need at least one checkpoint"):
-            train.evaluate(ds, [], fuse=True)
+            train.evaluate(ds, [])
 
     def test_fused_class_counts_must_match(self):
         """Checked before any forward, so untrained models and no stats will do."""
         ds = tiny_dataset(tiny_setup()[0], 5, np.random.default_rng(0))
         models = [(MPGCN(*tiny_setup(num_classes=k), np.random.default_rng(0)), {}) for k in (5, 3)]
         with pytest.raises(InputError, match="fused checkpoints must share num_classes"):
-            train.evaluate(ds, models, fuse=True)
+            train.evaluate(ds, models)
 
     def test_checkpoint_roundtrip_exact_logits(self, tmp_path):
         _, ds, model, stats = self.trained(tmp_path)

@@ -8,10 +8,11 @@ The first form writes under OUT_DIR (which must not exist):
 - ``pipeline/<set>/``: the ``synth``, ``reassign`` and ``features`` files of
   three data sets, the default flags and the benchmark's desk and crowd
   flag sets (seed 3);
-- ``pipeline/default/run/``: a 3-epoch ``train`` on the default set, and
-  ``eval --fuse`` of its two checkpoints;
-- ``*.out``: the stdout and exit code of every command, ``gradcheck --seed 0
-  --seeds 10`` included;
+- ``pipeline/default/run/``: a 3-epoch ``train`` on the default set,
+  ``eval --fuse`` of its two checkpoints, ``eval`` of the final one alone,
+  and ``eval`` of both without ``--fuse`` (which exits 1);
+- ``*.out``: the stdout, stderr and exit code of every command,
+  ``gradcheck --seed 0 --seeds 10`` included;
 - ``model.npz``: model arrays at four shapes (desk chain, desk with
   ``in_channels=2``, tiny chain, coco17 at paper width; model seed 123,
   input seed 7): initial parameters, training logits, input and parameter
@@ -65,14 +66,14 @@ SHAPES = [
 
 
 def run(name: str, argv: list[str]) -> None:
-    """``panograph <argv>`` in this process; stdout and the exit code go to ``name.out``."""
+    """``panograph <argv>`` in this process; stdout, stderr and the exit code go to ``name.out``."""
     from panograph import cli
 
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     with open(name + ".out", "w") as fh:
-        fh.write(buf.getvalue() + f"exit {code}\n")
+        fh.write(f"{out.getvalue()}stderr:\n{err.getvalue()}exit {code}\n")
 
 
 def dump_pipeline() -> None:
@@ -85,8 +86,10 @@ def dump_pipeline() -> None:
     with open("train.cfg", "w") as fh:
         fh.write(TRAIN_CFG)
     run("train", ["train", "--config", "train.cfg", "--data", data, "--out", out])
-    run("eval_fuse", ["eval", "--ckpt", os.path.join(out, "ckpt_best.pgt"),
-                      "--ckpt", os.path.join(out, "ckpt_final.pgt"), "--fuse", "--data", data])
+    ckpts = ["--ckpt", os.path.join(out, "ckpt_best.pgt"), "--ckpt", os.path.join(out, "ckpt_final.pgt")]
+    run("eval_fuse", ["eval", *ckpts, "--fuse", "--data", data])
+    run("eval_single", ["eval", *ckpts[2:], "--data", data])
+    run("eval_nofuse", ["eval", *ckpts, "--data", data])
     run("gradcheck", ["gradcheck", "--seed", "0", "--seeds", "10"])
 
 
