@@ -11,7 +11,7 @@ import typing
 import numpy as np
 
 from . import data_io, features, graph, gradcheck, train
-from .errors import InputError, PanographError
+from .errors import ConfigError, InputError, PanographError
 from .nn import ModelConfig
 from .nn.model import STREAM_ORDER
 from .reassign import assemble_sequence, parse_jsonl
@@ -74,14 +74,18 @@ def cmd_reassign(args) -> int:
     for entry in manifest["samples"]:
         path = os.path.join(args.data, entry["jsonl"])
         text = data_io.read_input(path)
-        truth = data_io.read_tensor_container(os.path.join(args.data, entry["truth"]), ("objects",))
+        truth_path = os.path.join(args.data, entry["truth"])
+        truth = data_io.read_tensor_container(truth_path, ("objects",))
         try:
             frames = parse_jsonl(text.split("\n"), manifest["num_joints"])
             tensor, report = assemble_sequence(frames, manifest["num_persons"], manifest["num_joints"],
                                                num_frames=manifest["num_frames"])
-            full = data_io.append_object_nodes(tensor, truth["objects"])
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
+        try:
+            full = data_io.append_object_nodes(tensor, truth["objects"])
+        except InputError as exc:
+            raise InputError(f"{truth_path}: {exc}") from exc
         data_io.write_tensor_container(
             os.path.join(tensor_dir, entry["id"] + ".pgt"), {"skeleton": full}
         )
@@ -190,6 +194,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.seeds < 1:  # an empty seed range would pass on no checks
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     worst_overall = 0.0
     for seed in range(args.seed, args.seed + args.seeds):
         coverage = gradcheck.Coverage()

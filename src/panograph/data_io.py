@@ -145,7 +145,7 @@ class SyntheticSpec:
                      "num_joints", "num_frames"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("noise_std", "num_objects", "num_distractors", "conf_jitter"):
+        for name in ("noise_std", "num_objects", "num_distractors", "conf_jitter", "seed"):
             if not 0 <= getattr(self, name):  # every comparison with nan is False
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("noise_std", "conf_jitter"):

@@ -1,11 +1,14 @@
 """Central finite-difference verification of the hand-written backward passes.
 
-Two granularities: entrywise checks for isolated layers, and per-tensor
-random-direction checks for the composed model (a directional derivative
-probes the whole gradient tensor with two forward evaluations).
+Every check is one central difference along a direction d, compared with the
+analytic directional derivative: one-hot directions at single entries for
+isolated layers, and random unit directions per tensor or per module for the
+composed model (one direction probes a whole gradient tensor with two
+forward evaluations).
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -58,92 +61,35 @@ class Coverage:
         self.checks += 1
         self.floored += int(max(abs(fd), abs(analytic)) <= ABS_FLOOR)
         diff = abs(fd - analytic)
+        if not math.isfinite(diff):  # a NaN error would compare below every tolerance
+            return math.inf
         return 0.0 if diff <= ABS_FLOOR else diff / max(abs(fd), abs(analytic))
 
 
-def _central_difference(
-    loss_fn: Callable[[], float], pieces: list[tuple[np.ndarray, np.ndarray]]
-) -> float:
-    """(L(θ + h·d) - L(θ - h·d)) / 2h, moving every flat view by its piece of d.
-
-    ``pieces`` pairs flat views of the probed tensors with their parts of the
-    direction d. The saved values are written back afterwards, so repeated
-    probes never drift.
-    """
-    saved = [flat.copy() for flat, _ in pieces]
-    for flat, d in pieces:
-        flat += H * d
-    lp = loss_fn()
-    for flat, d in pieces:
-        flat -= 2 * H * d
-    lm = loss_fn()
-    for (flat, _), orig in zip(pieces, saved):
-        flat[...] = orig
-    return (lp - lm) / (2 * H)
-
-
-def check_entrywise(
+def _probe(
     loss_fn: Callable[[], float],
-    tensors: list[tuple[str, np.ndarray, np.ndarray]],
-    rng: np.random.Generator,
-    max_entries: int | None,
+    groups: list[tuple[str, list[tuple[np.ndarray, np.ndarray | float]], float]],
     coverage: Coverage,
 ) -> dict[str, float]:
-    """Max relative FD error per (name, tensor, analytic gradient) by single entries.
+    """Worst relative FD error per name over the groups ``(name, pieces, analytic)``.
 
-    A tensor with more than ``max_entries`` entries is probed at that many
-    entries drawn from ``rng``; otherwise every entry is probed.
+    ``pieces`` pairs flat views of the probed tensors with their parts of a
+    direction d, and ``analytic`` is the analytic gradient's dot product with
+    d. Each group compares (L(θ + h·d) - L(θ - h·d)) / 2h with it; the saved
+    values are written back afterwards, so repeated probes never drift.
     """
-    errors = {}
-    for name, tensor, grad in tensors:
-        flat = tensor.reshape(-1)
-        g = grad.reshape(-1)
-        if max_entries is None or flat.size <= max_entries:
-            indices = np.arange(flat.size)
-        else:
-            indices = rng.choice(flat.size, size=max_entries, replace=False)
-        worst = 0.0
-        for i in indices:
-            worst = max(worst, coverage.error(_central_difference(loss_fn, [(flat[i : i + 1], 1.0)]), g[i]))
-        errors[name] = worst
-    return errors
-
-
-def check_directional(
-    module: Module,
-    loss_fn: Callable[[], float],
-    backward_fn: Callable[[], None],
-    rng: np.random.Generator,
-    group_by_module: bool,
-    coverage: Coverage,
-) -> dict[str, float]:
-    """Random-direction FD checks covering every parameter.
-
-    ``loss_fn`` runs forward only; ``backward_fn`` runs forward + backward
-    with gradients accumulated into the module. One direction per parameter
-    tensor; with ``group_by_module`` a single direction spans all
-    tensors of each leaf module (two forward evaluations per group instead
-    of per tensor).
-    """
-    module.zero_grad()
-    backward_fn()
-    analytic = {name: g.copy() for name, g in module.named_grads()}
-    params = list(module.named_parameters())
-    if group_by_module:
-        groups: dict[str, list[tuple[str, np.ndarray]]] = {}
-        for name, p in params:
-            groups.setdefault(name.rsplit(".", 1)[0], []).append((name, p))
-    else:
-        groups = {name: [(name, p)] for name, p in params}
-    errors = {}
-    for gname, members in groups.items():
-        views = [p.reshape(-1) for _, p in members]
-        d = rng.standard_normal(sum(v.size for v in views))
-        d /= np.linalg.norm(d)
-        parts = np.split(d, np.cumsum([v.size for v in views])[:-1])
-        fd = _central_difference(loss_fn, list(zip(views, parts)))
-        dot = sum(float(analytic[name].reshape(-1) @ part) for (name, _), part in zip(members, parts))
-        errors[gname] = coverage.error(fd, dot)
+    errors: dict[str, float] = {}
+    for name, pieces, analytic in groups:
+        saved = [flat.copy() for flat, _ in pieces]
+        for flat, d in pieces:
+            flat += H * d
+        lp = loss_fn()
+        for flat, d in pieces:
+            flat -= 2 * H * d
+        lm = loss_fn()
+        for (flat, _), orig in zip(pieces, saved):
+            flat[...] = orig
+        errors[name] = max(errors.get(name, 0.0), coverage.error((lp - lm) / (2 * H), analytic))
     return errors
 
 
@@ -166,13 +112,20 @@ def check_layer(
     module.zero_grad()
     gx = module.backward(probe)
     grads = dict(module.named_grads())
-    tensors = [(name, p, grads[name].copy()) for name, p in module.named_parameters()]
-    tensors.append(("input", x, gx))
+    tensors = [(name, p, grads[name]) for name, p in module.named_parameters()] + [("input", x, gx)]
+    groups = []
+    for name, tensor, grad in tensors:
+        flat, g = tensor.reshape(-1), grad.reshape(-1)
+        if max_entries is None or flat.size <= max_entries:
+            indices = np.arange(flat.size)
+        else:
+            indices = rng.choice(flat.size, size=max_entries, replace=False)
+        groups += [(name, [(flat[i : i + 1], 1.0)], g[i]) for i in indices]
 
     def loss_fn() -> float:
         return float((module.forward(x, training=True) * probe).sum())
 
-    return check_entrywise(loss_fn, tensors, rng, max_entries, coverage or Coverage())
+    return _probe(loss_fn, groups, coverage or Coverage())
 
 
 def tiny_adjacency(num_persons=2, num_joints=3):
@@ -226,7 +179,11 @@ def tiny_model_config(num_classes: int = 5) -> ModelConfig:
 
 
 def model_suite(seed: int, group_by_module: bool, coverage: Coverage) -> dict[str, float]:
-    """Random-direction FD errors for the composed tiny model."""
+    """Random-direction FD errors for the composed tiny model.
+
+    One unit direction per parameter tensor; with ``group_by_module``, one per
+    leaf module spanning all its tensors (two forward evaluations per module).
+    """
     rng = np.random.default_rng(seed)
     cfg = tiny_model_config()
     A = tiny_adjacency(cfg.num_persons, cfg.joints_per_person)
@@ -245,12 +202,21 @@ def model_suite(seed: int, group_by_module: bool, coverage: Coverage) -> dict[st
         loss, _ = cross_entropy(logits, labels)
         return loss
 
-    def backward_fn() -> None:
-        logits = model.forward(streams, training=True)
-        _, glogits = cross_entropy(logits, labels)
-        model.backward(glogits)
-
-    return check_directional(model, loss_fn, backward_fn, rng, group_by_module, coverage)
+    model.zero_grad()
+    model.backward(cross_entropy(model.forward(streams, training=True), labels)[1])
+    params, grads = dict(model.named_parameters()), dict(model.named_grads())
+    members: dict[str, list[str]] = {}
+    for name in params:
+        members.setdefault(name.rsplit(".", 1)[0] if group_by_module else name, []).append(name)
+    groups = []
+    for gname, names in members.items():
+        views = [params[name].reshape(-1) for name in names]
+        d = rng.standard_normal(sum(v.size for v in views))
+        d /= np.linalg.norm(d)
+        parts = np.split(d, np.cumsum([v.size for v in views])[:-1])
+        dot = sum(float(grads[name].reshape(-1) @ part) for name, part in zip(names, parts))
+        groups.append((gname, list(zip(views, parts)), dot))
+    return _probe(loss_fn, groups, coverage)
 
 
 def run_full_suite(

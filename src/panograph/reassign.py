@@ -30,17 +30,6 @@ class PoseFrame:
     frame_index: int
     detections: list[Detection]
 
-    def validate(self, num_joints: int) -> None:
-        ids = [d.track_id for d in self.detections]
-        if len(ids) != len(set(ids)):
-            raise InputError(f"frame {self.frame_index}: duplicate track ids")
-        for d in self.detections:
-            if d.keypoints.shape != (num_joints, 3):
-                raise InputError(
-                    f"frame {self.frame_index}: track {d.track_id} has "
-                    f"{d.keypoints.shape[0]} keypoints, expected {num_joints}"
-                )
-
 
 class TrackState:
     """Running center-trajectory statistics per track id.
@@ -187,7 +176,6 @@ def assemble_sequence(
     dropped = [0] * T
     for frame in frames:
         t = frame.frame_index
-        frame.validate(num_joints)
         state.update(frame)
         assignment = reassign_frame(frame, state, num_slots, score_mode)
         dropped[t] = len(frame.detections) - len(assignment)
@@ -204,10 +192,13 @@ def parse_jsonl(lines, num_joints: int) -> list[PoseFrame]:
 
     Each record is {"t", "id", "conf", "bbox": [cx, cy, w, h],
     "kpts": [[x, y, v] x V]}. Raises InputError with the 1-based line
-    number on malformed records and on NaN or infinite conf, bbox or kpts.
+    number on malformed records, on NaN or infinite conf, bbox or kpts, and
+    on a track id that repeats within a frame.
     """
     frames: dict[int, PoseFrame] = {}
     parsed: list[tuple[int, np.ndarray]] = []  # (line, kpts) for one finiteness check
+    first_line: dict[tuple[int, int], int] = {}  # (t, id) -> line
+    repeat = None  # the first repeated (t, id), raised after every per-field check
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -238,10 +229,15 @@ def parse_jsonl(lines, num_joints: int) -> list[PoseFrame]:
             raise InputError(f"line {lineno}: malformed record ({exc})") from exc
         frames.setdefault(t, PoseFrame(t, [])).detections.append(det)
         parsed.append((lineno, kpts))
+        first = first_line.setdefault((t, det.track_id), lineno)
+        if first != lineno and repeat is None:
+            repeat = f"line {lineno}: track {det.track_id} repeats in frame {t} (line {first})"
     # One vectorised check per stream: an np.isfinite call per record would add
     # about a sixth to the parse time of a crowded clip.
     if parsed:
         finite = np.isfinite(np.stack([k for _, k in parsed])).all(axis=(1, 2))
         if not finite.all():
             raise InputError(f"line {parsed[finite.argmin()][0]}: non-finite value in 'kpts'")
+    if repeat is not None:
+        raise InputError(repeat)
     return [frames[t] for t in sorted(frames)]

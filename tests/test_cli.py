@@ -86,9 +86,10 @@ class TestSynth:
         (["--distractor-conf", "-1"], "distractor_conf must be in [0, 1], got -1.0"),
         (["--noise", "inf"], "noise_std must be finite, got inf"),
         (["--conf-jitter", "inf"], "conf_jitter must be finite, got inf"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ], ids=["objects", "distractors", "jitter", "jitter-nan", "dropout", "id-switch-nan",
             "distractor-conf-nan", "distractor-conf-2", "distractor-conf-neg", "noise-inf",
-            "jitter-inf"])
+            "jitter-inf", "seed"])
     def test_spec_out_of_range_exits_1(self, tmp_path, capsys, flags, error):
         """A spec synth cannot write stops it before it writes anything."""
         out = tmp_path / "data"
@@ -229,6 +230,9 @@ class TestReassign:
         ("reassign", {"samples": [FILES], **ROSTER},
          {"samples/a.jsonl": json.dumps(DETECTION), "truth/a.pgt": {"objects": np.full((2, 1, 3), np.nan)}},
          "truth/a.pgt: entry 'objects' is not finite"),
+        ("reassign", {"samples": [FILES], **ROSTER},
+         {"samples/a.jsonl": json.dumps(DETECTION), "truth/a.pgt": {"objects": np.zeros((1, 1, 3))}},
+         "truth/a.pgt: objects of shape (1, 1, 3) do not fit a skeleton of 2 frames and 3 channels"),
         ("features", {"samples": [{"id": "a"}], **GRAPH},
          {"tensors/a.pgt": {"skeleton": np.pad(np.full((1, 1, 1, 1), 1e200), ((0, 3), (0, 1), (1, 2), (0, 2)))}},
          "tensors/a.pgt: a bone length is not finite"),
@@ -255,6 +259,7 @@ class TestReassign:
             "reassign-spread-overflow", "reassign-truth-entry", "features-tensor-entry",
             "train-feature-entry", "reassign-frames", "reassign-frame-index",
             "features-tensor-nan", "train-stats-overflow", "eval-feature-nan", "reassign-truth-nan",
+            "reassign-truth-frames",
             "features-bone-overflow", "train-stream-shapes", "eval-stream-shapes",
             "train-stream-rank", "train-stream-nodes"])
     def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, files, error):
@@ -609,6 +614,19 @@ class TestGradcheck:
         assert captured.out.splitlines()[-1] == "overall max rel err 1.000e-03 (tolerance 1e-04)"
         assert "gradcheck passed" not in captured.out
         assert captured.err == "gradcheck FAILED\n"
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--seeds", "0"], "--seeds must be >= 1, got 0"),
+        (["--seeds", "-3"], "--seeds must be >= 1, got -3"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ], ids=["no-seeds", "negative-seeds", "negative-seed"])
+    def test_empty_or_negative_seed_range_exits_1(self, monkeypatch, capsys, flags, error):
+        """A seed range that would run no check, or a seed numpy cannot take, is refused
+        before any check runs."""
+        calls = self.stub(monkeypatch, 0.0)
+        assert cli.main(["gradcheck", *flags]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines(), calls) == ("", [f"error: {error}"], [])
 
 
 FUZZ_CONFIG = "epochs = 1\nwarmup_epochs = 0\nbase_lr = 0.002\nbatch_size = 4\nchannel_divisor = 8\n"

@@ -506,3 +506,30 @@ class TestGradcheckSuite:
         finally:
             Conv1x1.backward = orig
         assert worst > 1e-4
+
+    @pytest.mark.parametrize("fd, analytic", [(1.0, np.nan), (np.nan, 0.0), (np.inf, 1.0), (1.0, -np.inf)])
+    def test_non_finite_probe_fails(self, fd, analytic):
+        """NaN compares False with every tolerance, so a NaN error would pass as 0."""
+        assert gradcheck.Coverage().error(fd, analytic) == np.inf
+
+    @pytest.mark.parametrize("planted", ["weight", "input"])
+    def test_each_probe_kind_trips_on_a_planted_fault(self, monkeypatch, planted):
+        """A 1 % error in Conv1x1's weight or input gradient shows in the one-hot layer
+        probes, under that layer's key, and in the per-module random-direction model probes."""
+        from panograph.nn.layers import Conv1x1
+
+        orig = Conv1x1.backward
+
+        def corrupted(self, grad_out):
+            g = orig(self, grad_out)
+            if planted == "input":
+                return g * 1.01
+            self._grads["w"] *= 1.01
+            return g
+
+        monkeypatch.setattr(Conv1x1, "backward", corrupted)
+        coverage = gradcheck.Coverage()
+        layers = gradcheck.layer_suite(0, coverage)
+        model = gradcheck.model_suite(0, True, coverage)
+        key = "conv1x1.input" if planted == "input" else "conv1x1"
+        assert layers[key] > 1e-4 and max(model.values()) > 1e-4, (layers[key], max(model.values()))

@@ -278,11 +278,6 @@ class TestAssembleSequence:
             reassign.assemble_sequence([make_frame(t, [(1, 0.9, 0.0, 0.0)])], 2, 2,
                                        num_frames=num_frames)
 
-    def test_wrong_keypoint_count_rejected(self):
-        frames = [make_frame(0, [(1, 0.9, 0.0, 0.0)]), make_frame(1, [(4, 0.9, 0.0, 0.0)], V=3)]
-        with pytest.raises(InputError, match="frame 1: track 4 has 3 keypoints, expected 2"):
-            reassign.assemble_sequence(frames, 2, 2)
-
     def test_determinism(self):
         frames = [
             make_frame(t, [(1, 0.7, float(t), 0.0), (2, 0.7, 0.0, float(t))])
@@ -348,8 +343,8 @@ class TestParseJsonl:
         with pytest.raises(InputError, match="line 1: malformed"):
             reassign.parse_jsonl([json.dumps(rec)], 2)
 
-    def test_duplicate_ids_in_frame_rejected_on_validate(self):
-        lines = [self.record(tid=5), self.record(tid=5)]
-        frames = reassign.parse_jsonl(lines, 2)
-        with pytest.raises(InputError):
-            frames[0].validate(2)
+    def test_repeated_track_in_frame_line_numbered(self):
+        """A track id may appear once per frame; the error names both lines."""
+        lines = [self.record(tid=5), self.record(t=1, tid=5), "", self.record(tid=5), self.record(tid=5)]
+        with pytest.raises(InputError, match=r"^line 4: track 5 repeats in frame 0 \(line 1\)$"):
+            reassign.parse_jsonl(lines, 2)

@@ -13,6 +13,10 @@ The first form writes under OUT_DIR (which must not exist):
   and ``eval`` of both without ``--fuse`` (which exits 1);
 - ``*.out``: the stdout, stderr and exit code of every command,
   ``gradcheck --seed 0 --seeds 10`` included;
+- ``gradcheck_probes.npz``: every ``(fd, analytic)`` pair that
+  ``gradcheck.Coverage.error`` compared during that ``gradcheck`` run, in
+  order, as the float64 arrays ``fd`` and ``analytic`` (the printed errors
+  are rounded, so they cannot show that a probe kept every bit);
 - ``model.npz``: model arrays at four shapes (desk chain, desk with
   ``in_channels=2``, tiny chain, coco17 at paper width; model seed 123,
   input seed 7): initial parameters, training logits, input and parameter
@@ -76,6 +80,25 @@ def run(name: str, argv: list[str]) -> None:
         fh.write(f"{out.getvalue()}stderr:\n{err.getvalue()}exit {code}\n")
 
 
+def run_recording_probes(name: str, argv: list[str]) -> None:
+    """``run``, with every pair ``gradcheck.Coverage.error`` compares saved to ``name_probes.npz``."""
+    from panograph import gradcheck
+
+    error, pairs = gradcheck.Coverage.error, []
+
+    def recording(self, fd, analytic):
+        pairs.append((fd, analytic))
+        return error(self, fd, analytic)
+
+    gradcheck.Coverage.error = recording
+    try:
+        run(name, argv)
+    finally:
+        gradcheck.Coverage.error = error
+    fd, analytic = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    np.savez(name + "_probes.npz", fd=fd, analytic=analytic)
+
+
 def dump_pipeline() -> None:
     for name, flags in (("default", []), ("desk", DESK), ("crowd", CROWD)):
         data = os.path.join("pipeline", name)
@@ -90,7 +113,7 @@ def dump_pipeline() -> None:
     run("eval_fuse", ["eval", *ckpts, "--fuse", "--data", data])
     run("eval_single", ["eval", *ckpts[2:], "--data", data])
     run("eval_nofuse", ["eval", *ckpts, "--data", data])
-    run("gradcheck", ["gradcheck", "--seed", "0", "--seeds", "10"])
+    run_recording_probes("gradcheck", ["gradcheck", "--seed", "0", "--seeds", "10"])
 
 
 def freeze_listed(module, frozen: bool) -> None:
