@@ -308,7 +308,9 @@ def parse_flat_config(text: str, known_keys: dict[str, type]) -> dict:
 
 def load_manifest(data_dir: str, keys=(), sample_keys=()) -> dict:
     """The manifest; FormatError if it lacks 'samples', a ``keys`` key or a ``sample_keys`` key,
-    or if such a key has the wrong type: ``num_*`` and ``label`` are ints >= 0, the rest strings."""
+    or if such a key has the wrong type: ``num_*`` and ``label`` are ints >= 0, the rest strings.
+    A sample ``id`` names the sample's files, so it must be a plain file name (not empty, ``.``
+    or ``..``, and without ``/``, ``\\`` or NUL) that no earlier sample uses."""
     path = os.path.join(data_dir, "manifest.json")
     try:
         manifest = json.loads(read_input(path))
@@ -316,6 +318,7 @@ def load_manifest(data_dir: str, keys=(), sample_keys=()) -> dict:
         raise FormatError(f"{path}: not JSON: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise FormatError(f"{path}: expected an object with a 'samples' list")
+    ids: dict[str, int] = {}  # sample id -> the first sample that uses it
     for i, entry in enumerate([manifest] + manifest["samples"]):
         where = f"{path}: sample {i - 1}" if i else f"{path}:"
         for key in sample_keys if i else keys:
@@ -327,6 +330,10 @@ def load_manifest(data_dir: str, keys=(), sample_keys=()) -> dict:
                                   f"expected {want.__name__}")
             if want is int and entry[key] < 0:
                 raise FormatError(f"{where} key {key!r} is {entry[key]}, expected >= 0")
+            if key == "id" and (entry[key] in ("", ".", "..") or any(c in entry[key] for c in "/\\\0")):
+                raise FormatError(f"{where} key 'id' is {entry[key]!r}, expected a plain file name")
+            if key == "id" and ids.setdefault(entry[key], i - 1) != i - 1:
+                raise FormatError(f"{where} key 'id' is {entry[key]!r}, already sample {ids[entry[key]]}'s")
     return manifest
 
 

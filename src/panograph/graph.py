@@ -12,13 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-COCO17_JOINTS = [
-    "nose", "l_eye", "r_eye", "l_ear", "r_ear",
-    "l_shoulder", "r_shoulder", "l_elbow", "r_elbow",
-    "l_wrist", "r_wrist", "l_hip", "r_hip",
-    "l_knee", "r_knee", "l_ankle", "r_ankle",
-]
-
+# COCO17 keypoints: nose, l/r eye, l/r ear, l/r shoulder, l/r elbow, l/r wrist, l/r hip, l/r knee, l/r ankle
 COCO17_EDGES = [
     (0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (0, 6),
     (5, 7), (7, 9), (6, 8), (8, 10), (5, 11), (6, 12),

@@ -11,8 +11,6 @@ from .layers import (
 )
 from .blocks import BasicBlock, MultiScaleTCN
 from .model import (
-    DEFAULT_INPUT_BRANCH,
-    DEFAULT_MAIN_BRANCH,
     STREAM_ORDER,
     ModelConfig,
     MPGCN,
@@ -38,6 +36,4 @@ __all__ = [
     "cross_entropy",
     "softmax",
     "STREAM_ORDER",
-    "DEFAULT_INPUT_BRANCH",
-    "DEFAULT_MAIN_BRANCH",
 ]

@@ -6,7 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import ContractError, FormatError, check_names
+from ..errors import ContractError
 
 
 class Module:
@@ -64,25 +64,6 @@ class Module:
     def zero_grad(self) -> None:
         for _, g in self.named_grads():
             g[...] = 0.0
-
-    def load_state(self, params: dict[str, np.ndarray], buffers: dict[str, np.ndarray]) -> None:
-        """Copy saved tensors in place; names and shapes must match exactly.
-
-        Everything is checked before anything is copied, so a mismatch raises
-        FormatError and leaves the module as it was.
-        """
-        pairs = [("parameter", dict(self.named_parameters()), params),
-                 ("buffer", dict(self.named_buffers()), buffers)]
-        for kind, own, saved in pairs:
-            check_names(f"{kind} names", own, saved)
-            for name, value in saved.items():
-                if np.shape(value) != own[name].shape:
-                    raise FormatError(
-                        f"{kind} {name!r} has shape {np.shape(value)}, expected {own[name].shape}"
-                    )
-        for _, own, saved in pairs:
-            for name, value in saved.items():
-                own[name][...] = value
 
     def num_parameters(self) -> int:
         return sum(p.size for _, p in self.named_parameters())

@@ -187,13 +187,19 @@ def assemble_sequence(
     return data, AssignmentReport(means, dropped)
 
 
+# The types json.loads gives a JSON number; a bool (JSON true/false) is neither.
+JSON_NUMBER = frozenset((int, float))
+
+
 def parse_jsonl(lines, num_joints: int) -> list[PoseFrame]:
     """Parse the detection stream: one JSON object per line.
 
     Each record is {"t", "id", "conf", "bbox": [cx, cy, w, h],
-    "kpts": [[x, y, v] x V]}. Raises InputError with the 1-based line
-    number on malformed records, on NaN or infinite conf, bbox or kpts, and
-    on a track id that repeats within a frame.
+    "kpts": [[x, y, v] x V]}: ``t`` and ``id`` are JSON integers (not
+    booleans), ``conf`` a number in [0, 1] and ``bbox`` a list of 4
+    numbers. Raises InputError with the 1-based line number on malformed
+    records, on NaN or infinite conf, bbox or kpts, and on a track id that
+    repeats within a frame.
     """
     frames: dict[int, PoseFrame] = {}
     parsed: list[tuple[int, np.ndarray]] = []  # (line, kpts) for one finiteness check
@@ -205,27 +211,32 @@ def parse_jsonl(lines, num_joints: int) -> list[PoseFrame]:
             continue
         try:
             rec = json.loads(line)
-            t = int(rec["t"])
+            t, conf, bbox = rec["t"], rec["conf"], rec["bbox"]
+            for key in ("t", "id"):
+                if type(rec[key]) is not int:  # not isinstance: a bool is an int subclass
+                    raise ValueError(f"{key!r} must be an integer, got {rec[key]!r}")
             kpts = np.asarray(rec["kpts"], dtype=float)
             if kpts.shape != (num_joints, 3):
                 raise InputError(
                     f"line {lineno}: expected {num_joints} keypoints, got shape {kpts.shape}"
                 )
-            conf = float(rec["conf"])
-            bbox = rec["bbox"]
-            if not math.isfinite(conf):
-                raise InputError(f"line {lineno}: non-finite value in 'conf'")
+            if type(conf) not in JSON_NUMBER or not 0 <= conf <= 1:  # NaN and inf fail the range too
+                if type(conf) is float and not math.isfinite(conf):
+                    raise InputError(f"line {lineno}: non-finite value in 'conf'")
+                raise ValueError(f"'conf' must be a number in [0, 1], got {conf!r}")
+            if type(bbox) is not list or len(bbox) != 4 or not JSON_NUMBER.issuperset(map(type, bbox)):
+                raise ValueError("'bbox' must be a list of 4 numbers")
             if not all(map(math.isfinite, bbox)):
                 raise InputError(f"line {lineno}: non-finite value in 'bbox'")
             det = Detection(
-                track_id=int(rec["id"]),
-                confidence=conf,
+                track_id=rec["id"],
+                confidence=float(conf),
                 keypoints=kpts,
                 bbox_center=(float(bbox[0]), float(bbox[1])),
             )
         except InputError:
             raise
-        except (KeyError, IndexError, ValueError, TypeError, OverflowError) as exc:  # int(inf) overflows
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:  # a huge int overflows a float
             raise InputError(f"line {lineno}: malformed record ({exc})") from exc
         frames.setdefault(t, PoseFrame(t, [])).detections.append(det)
         parsed.append((lineno, kpts))

@@ -29,7 +29,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         if not 0 <= self.warmup_epochs < self.epochs:
-            raise ConfigError("warmup_epochs must be < epochs")
+            raise ConfigError(f"warmup_epochs must be in [0, epochs), got {self.warmup_epochs} "
+                              f"with epochs {self.epochs}")
         for key, ok, want in (
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
@@ -334,28 +335,27 @@ def _read_config(path: str, tensors: dict) -> tuple[dict, dict]:
 
 
 def load_checkpoint(path: str) -> tuple[MPGCN, dict]:
-    """Rebuild a saved model and its normalisation stats: one (2 * in_channels,) mean and
-    std > 0 per stream. Errors name the file."""
+    """Rebuild a saved model and its normalisation stats. One pass checks every entry's
+    name and shape, one (2 * in_channels,) mean and std > 0 per stream, before any is
+    copied. Errors name the file."""
     tensors = data_io.read_tensor_container(path)
     fields, info = _read_config(path, tensors)
     try:
         model = build_model(ModelConfig(**fields), info, np.random.default_rng(0))
     except ConfigError as exc:
         raise FormatError(f"{path}: config: {exc}") from exc
-    params = {k[len("param."):]: v for k, v in tensors.items() if k.startswith("param.")}
-    buffers = {k[len("buffer."):]: v for k, v in tensors.items() if k.startswith("buffer.")}
-    norm = [f"norm.{key}.{stat}" for key in STREAM_ORDER for stat in ("mean", "std")]
-    rest = [k for k in tensors if not k.startswith(("param.", "buffer."))]
-    check_names(f"{path}: normalisation entries", norm, rest)
-    try:
-        model.load_state(params, buffers)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    width = (2 * model.config.in_channels,)
-    for name in norm:
-        if tensors[name].shape != width:
-            raise FormatError(f"{path}: entry {name!r} has shape {tensors[name].shape}, expected {width}")
+    own = {**{"param." + k: v for k, v in model.named_parameters()},
+           **{"buffer." + k: v for k, v in model.named_buffers()}}
+    shapes = {k: v.shape for k, v in own.items()}
+    shapes.update({f"norm.{key}.{stat}": (2 * model.config.in_channels,)
+                   for key in STREAM_ORDER for stat in ("mean", "std")})
+    check_names(f"{path}: entries", shapes, tensors)
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise FormatError(f"{path}: entry {name!r} has shape {tensors[name].shape}, expected {shape}")
         if name.endswith(".std") and not (tensors[name] > 0).all():
             raise FormatError(f"{path}: entry {name!r} is not > 0")
+    for name, value in own.items():
+        value[...] = tensors[name]
     norm_stats = {key: (tensors[f"norm.{key}.mean"], tensors[f"norm.{key}.std"]) for key in STREAM_ORDER}
     return model, norm_stats

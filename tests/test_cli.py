@@ -196,10 +196,10 @@ class TestReassign:
         ("features", None, {}, "manifest.json: cannot read (Is a directory)"),
         ("reassign", {"samples": [FILES], **ROSTER},
          {"samples/a.jsonl": json.dumps(DETECTION).replace('"t": 0', '"t": 1e400'), **TRUTH},
-         "samples/a.jsonl: line 1: malformed record (cannot convert float infinity to integer)"),
+         "samples/a.jsonl: line 1: malformed record ('t' must be an integer, got inf)"),
         ("reassign", {"samples": [FILES], **ROSTER},
          {"samples/a.jsonl": json.dumps(DETECTION).replace('"id": 0', '"id": Infinity'), **TRUTH},
-         "samples/a.jsonl: line 1: malformed record (cannot convert float infinity to integer)"),
+         "samples/a.jsonl: line 1: malformed record ('id' must be an integer, got inf)"),
         ("reassign", {"samples": [FILES], **ROSTER},
          {"samples/a.jsonl": json.dumps(DETECTION) + "\n" + json.dumps(
              {**DETECTION, "t": 1, "bbox": [1e200, 0, 1, 1]}), **TRUTH},
@@ -250,6 +250,24 @@ class TestReassign:
         ("train", {"samples": [{"id": "a", "label": 0}], **TRAIN},
          {"train.cfg": "", "features/a.pgt": {k: np.zeros((4, 6, 6)) for k in STREAM_ORDER}},
          "error: stream 'joint' has shape (4, 6, 6), the model takes (frames, 8, 6)"),
+        ("reassign", {"samples": [{**FILES, "id": "../evil"}], **ROSTER}, {},
+         "manifest.json: sample 0 key 'id' is '../evil', expected a plain file name"),
+        ("reassign", {"samples": [FILES, {**FILES, "id": "/evil"}], **ROSTER}, {},
+         "manifest.json: sample 1 key 'id' is '/evil', expected a plain file name"),
+        ("reassign", {"samples": [{**FILES, "id": "a\0b"}], **ROSTER}, {},
+         "manifest.json: sample 0 key 'id' is 'a\\x00b', expected a plain file name"),
+        ("features", {"samples": [{"id": ""}], **GRAPH}, {},
+         "manifest.json: sample 0 key 'id' is '', expected a plain file name"),
+        ("features", {"samples": [{"id": "."}], **GRAPH}, {},
+         "manifest.json: sample 0 key 'id' is '.', expected a plain file name"),
+        ("train", {"samples": [{"id": "..", "label": 0}], **TRAIN}, {},
+         "manifest.json: sample 0 key 'id' is '..', expected a plain file name"),
+        ("eval", {"samples": [{"id": "a\\b", "label": 0}]}, {},
+         "manifest.json: sample 0 key 'id' is 'a\\\\b', expected a plain file name"),
+        ("reassign", {"samples": [FILES, {**FILES, "jsonl": "samples/b.jsonl"}], **ROSTER}, {},
+         "manifest.json: sample 1 key 'id' is 'a', already sample 0's"),
+        ("eval", {"samples": [{"id": "a", "label": 0}, {"id": "b", "label": 1}, {"id": "a", "label": 1}]},
+         {}, "manifest.json: sample 2 key 'id' is 'a', already sample 0's"),
     ], ids=["features-layout", "reassign-jsonl", "reassign-persons", "features-sample-type",
             "train-classes", "eval-label", "features-persons-str", "train-classes-bool",
             "eval-label-float", "reassign-id-int", "reassign-jsonl-file", "reassign-truth-file",
@@ -261,7 +279,9 @@ class TestReassign:
             "features-tensor-nan", "train-stats-overflow", "eval-feature-nan", "reassign-truth-nan",
             "reassign-truth-frames",
             "features-bone-overflow", "train-stream-shapes", "eval-stream-shapes",
-            "train-stream-rank", "train-stream-nodes"])
+            "train-stream-rank", "train-stream-nodes", "reassign-id-parent", "reassign-id-absolute",
+            "reassign-id-nul", "features-id-empty", "features-id-dot", "train-id-dotdot",
+            "eval-id-backslash", "reassign-id-repeated", "eval-id-repeated"])
     def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, files, error):
         """Each command checks the manifest keys it reads and their types before reading
         them, and a file it cannot read or decode names its path: exit 1 and one error
@@ -411,6 +431,8 @@ class TestTrain:
         ("weight_decay = -0.001", "weight_decay must be finite and >= 0, got -0.001"),
         ("weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
         ("channel_divisor = 0", "channel_divisor must be >= 1, got 0"),
+        ("epochs = 0", "warmup_epochs must be in [0, epochs), got 1 with epochs 0"),
+        ("warmup_epochs = -1", "warmup_epochs must be in [0, epochs), got -1 with epochs 3"),
     ])
     def test_bad_config_value_exits_1(self, pipeline, tmp_path, capsys, line, named):
         key = line.split()[0]

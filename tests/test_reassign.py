@@ -1,6 +1,7 @@
 """Reassignment scoring and slot-mapping tests, with brute-force oracles."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -342,6 +343,37 @@ class TestParseJsonl:
         rec["bbox"] = [1.0]
         with pytest.raises(InputError, match="line 1: malformed"):
             reassign.parse_jsonl([json.dumps(rec)], 2)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("id", 1.9, "'id' must be an integer, got 1.9"),
+            ("t", 2.7, "'t' must be an integer, got 2.7"),
+            ("t", "3", "'t' must be an integer, got '3'"),
+            ("id", "7", "'id' must be an integer, got '7'"),
+            ("id", True, "'id' must be an integer, got True"),
+            ("conf", -3, "'conf' must be a number in [0, 1], got -3"),
+            ("conf", 7, "'conf' must be a number in [0, 1], got 7"),
+            ("conf", "0.5", "'conf' must be a number in [0, 1], got '0.5'"),
+            ("conf", False, "'conf' must be a number in [0, 1], got False"),
+            ("bbox", [1, 2], "'bbox' must be a list of 4 numbers"),
+            ("bbox", [1, 2, 3, "4"], "'bbox' must be a list of 4 numbers"),
+            ("bbox", {"cx": 1}, "'bbox' must be a list of 4 numbers"),
+        ],
+    )
+    def test_mistyped_field_line_numbered(self, field, value, named):
+        """A field is not truncated or coerced: an error names its line and the rule."""
+        rec = {**json.loads(self.record()), field: value}
+        with pytest.raises(InputError, match=f"^{re.escape(f'line 2: malformed record ({named})')}$"):
+            reassign.parse_jsonl([self.record(), json.dumps(rec)], 2)
+
+    def test_conf_bounds_and_integer_numbers_accepted(self):
+        """conf 0 and 1 are in range, and a JSON integer is a number for conf and bbox."""
+        lines = [json.dumps({**json.loads(self.record(tid=k)), "conf": c, "bbox": [1, 2.0, 40, 80]})
+                 for k, c in enumerate([0, 1, 0.0, 1.0])]
+        frames = reassign.parse_jsonl(lines, 2)
+        assert [d.confidence for d in frames[0].detections] == [0.0, 1.0, 0.0, 1.0]
+        assert all(type(d.confidence) is float for d in frames[0].detections)
 
     def test_repeated_track_in_frame_line_numbered(self):
         """A track id may appear once per frame; the error names both lines."""

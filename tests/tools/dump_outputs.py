@@ -13,6 +13,10 @@ The first form writes under OUT_DIR (which must not exist):
   and ``eval`` of both without ``--fuse`` (which exits 1);
 - ``*.out``: the stdout, stderr and exit code of every command,
   ``gradcheck --seed 0 --seeds 10`` included;
+- ``loaded.npz``: every parameter, buffer and normalisation array that
+  ``train.load_checkpoint`` returns for the two checkpoints of that
+  ``train`` run, and the final checkpoint's eval logits on the first 16
+  clips of the default set;
 - ``gradcheck_probes.npz``: every ``(fd, analytic)`` pair that
   ``gradcheck.Coverage.error`` compared during that ``gradcheck`` run, in
   order, as the float64 arrays ``fd`` and ``analytic`` (the printed errors
@@ -113,7 +117,28 @@ def dump_pipeline() -> None:
     run("eval_fuse", ["eval", *ckpts, "--fuse", "--data", data])
     run("eval_single", ["eval", *ckpts[2:], "--data", data])
     run("eval_nofuse", ["eval", *ckpts, "--data", data])
+    dump_loaded(data, out)
     run_recording_probes("gradcheck", ["gradcheck", "--seed", "0", "--seeds", "10"])
+
+
+def dump_loaded(data: str, out: str) -> None:
+    """``loaded.npz``: what ``load_checkpoint`` returns for both checkpoints under ``out``,
+    and the final model's eval logits on the first 16 clips under ``data``."""
+    from panograph import data_io, train
+
+    arrays = {}
+    for tag in ("best", "final"):
+        model, stats = train.load_checkpoint(os.path.join(out, f"ckpt_{tag}.pgt"))
+        arrays.update({f"{tag}/param.{k}": v for k, v in model.named_parameters()})
+        arrays.update({f"{tag}/buffer.{k}": v for k, v in model.named_buffers()})
+        for key, (mean, std) in stats.items():
+            arrays.update({f"{tag}/norm.{key}.mean": mean, f"{tag}/norm.{key}.std": std})
+    samples = data_io.load_manifest(data)["samples"][:16]
+    ds = train.Dataset([data_io.read_tensor_container(os.path.join(data, "features", e["id"] + ".pgt"))
+                        for e in samples], np.array([e["label"] for e in samples]))
+    streams = train.stack_batch(ds, np.arange(len(ds)), stats)
+    arrays["final/eval_logits"] = model.forward(streams, training=False)
+    np.savez("loaded.npz", **arrays)
 
 
 def freeze_listed(module, frozen: bool) -> None:
