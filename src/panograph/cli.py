@@ -66,8 +66,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_reassign(args) -> int:
-    manifest = data_io.load_manifest(args.data, ("num_persons", "num_joints", "num_frames"),
-                                     ("id", "jsonl", "truth"))
+    keys = ("num_persons", "num_joints", "num_frames", "num_objects")
+    manifest = data_io.load_manifest(args.data, keys, ("id", "jsonl", "truth"))
     tensor_dir = os.path.join(args.data, "tensors")
     os.makedirs(tensor_dir, exist_ok=True)
     reports = {}
@@ -75,7 +75,7 @@ def cmd_reassign(args) -> int:
         path = os.path.join(args.data, entry["jsonl"])
         text = data_io.read_input(path)
         truth_path = os.path.join(args.data, entry["truth"])
-        truth = data_io.read_tensor_container(truth_path, ("objects",))
+        objects = data_io.read_tensor_container(truth_path, ("objects",))["objects"]
         try:
             frames = parse_jsonl(text.split("\n"), manifest["num_joints"])
             tensor, report = assemble_sequence(frames, manifest["num_persons"], manifest["num_joints"],
@@ -83,7 +83,10 @@ def cmd_reassign(args) -> int:
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
         try:
-            full = data_io.append_object_nodes(tensor, truth["objects"])
+            full = data_io.append_object_nodes(tensor, objects)
+            if objects.shape[1] != manifest["num_objects"]:
+                raise InputError(f"objects of shape {objects.shape} do not fit the manifest's "
+                                 f"num_objects {manifest['num_objects']}")
         except InputError as exc:
             raise InputError(f"{truth_path}: {exc}") from exc
         data_io.write_tensor_container(

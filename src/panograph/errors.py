@@ -23,7 +23,9 @@ class FormatError(PanographError):
 
 
 class ContractError(PanographError):
-    """Internal shape/contract violation between pipeline stages."""
+    """A broken call contract of a layer or the model: streams of the wrong count or shape,
+    a node dim a layer cannot take, or a backward without a training forward. Not file
+    content: a file the program reads is refused with InputError or FormatError, naming it."""
 
 
 class TrainingError(PanographError):

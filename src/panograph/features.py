@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, InputError
 from .graph import GraphTopology
 
 
@@ -90,14 +90,7 @@ def bone_stream(x: np.ndarray, bones: np.ndarray) -> np.ndarray:
 
 
 def bone_vectors(x: np.ndarray, topology: GraphTopology) -> np.ndarray:
-    T, M, Np, C = x.shape
-    if Np != topology.nodes_per_person or M != topology.num_persons:
-        raise ContractError(
-            f"tensor (M={M}, N'={Np}) does not match topology "
-            f"(M={topology.num_persons}, N'={topology.nodes_per_person})"
-        )
-    parents = bone_parents(topology)
-    return x - x[:, :, parents, :]
+    return x - x[:, :, bone_parents(topology), :]
 
 
 def motion_stream(x: np.ndarray) -> np.ndarray:
@@ -111,9 +104,10 @@ def motion_stream(x: np.ndarray) -> np.ndarray:
 
 
 def build_feature_bundle(x: np.ndarray, topology: GraphTopology) -> FeatureBundle:
-    """All four input streams for one sample tensor (T, M, N', C)."""
-    if x.ndim != 4:
-        raise ContractError(f"expected rank-4 skeleton tensor, got shape {x.shape}")
+    """All four input streams for one sample tensor (T, M, N', C) with the topology's M and N'."""
+    M, Np = topology.num_persons, topology.nodes_per_person
+    if x.ndim != 4 or x.shape[1:3] != (M, Np):
+        raise InputError(f"slot tensor of shape {x.shape} is not (frames, {M}, {Np}, channels)")
     bones = bone_vectors(x, topology)
     return FeatureBundle(
         joint=joint_stream(x, topology.center_joints),

@@ -158,9 +158,9 @@ def layer_suite(seed: int, coverage: Coverage) -> dict[str, float]:
     run("tconv_d2_s2", TemporalConv(3, 4, rng, dilation=2, stride=2), (B, 3, T, N))
     run("maxpool", MaxPoolT(stride=2), (B, 4, T, N))
     run("batchnorm", BatchNorm(4), (B, 4, T, N))
-    run("attention", STPAttention(8, M, Np, rng), (B, 8, T, N))
+    run("attention", STPAttention(8, Np, rng), (B, 8, T, N))
     run("mstcn", MultiScaleTCN(4, 8, rng, stride=2), (B, 4, T, N))
-    run("basic_block", BasicBlock(4, 8, A, M, Np, rng, stride=2), (B, 4, T, N))
+    run("basic_block", BasicBlock(4, 8, A, Np, rng, stride=2), (B, 4, T, N))
     run("linear", Linear(6, 3, rng), (B, 6), max_entries=None)
     run("relu", ReLU(), (B, 4, T, N), shift=0.1)
     return results

@@ -135,9 +135,7 @@ class BasicBlock(Module):
     and the BNs' x_hat by the forward's own operations, in the shared workspace.
     """
 
-    def __init__(
-        self, in_channels, out_channels, adjacency, num_persons, nodes_per_person, rng, stride=1
-    ):
+    def __init__(self, in_channels, out_channels, adjacency, nodes_per_person, rng, stride=1):
         super().__init__()
         self.stride = stride
         n = adjacency.shape[1]
@@ -156,7 +154,7 @@ class BasicBlock(Module):
         self.res2 = None
         if stride != 1:
             self.res2 = self.add("res2", Conv1x1(out_channels, out_channels, rng))
-        self.att = self.add("att", STPAttention(out_channels, num_persons, nodes_per_person, rng))
+        self.att = self.add("att", STPAttention(out_channels, nodes_per_person, rng))
 
     def forward(self, x, training=False):
         # Eval BN and ReLU overwrite their input, so each gets a fresh array only it holds:

@@ -248,7 +248,6 @@ class SpatialGraphConv(Module):
         P = nodes_per_person
         if P < 1 or n % P:
             raise ConfigError(f"adjacency of {n} nodes does not split into persons of {P} nodes")
-        self.adjacency = adjacency
         self.K = K
         for k in range(K):
             self.param(f"W{k}", kaiming_uniform(rng, (in_channels, out_channels), in_channels))
@@ -308,11 +307,10 @@ class SpatialGraphConv(Module):
         return xh, mc, zc
 
     def forward(self, x, training=False):
-        if x.shape[3] != self.adjacency.shape[1]:
-            raise ContractError(
-                f"node dim {x.shape[3]} does not match adjacency {self.adjacency.shape[1]}"
-            )
         B, C, T, N = x.shape
+        M, P, _ = self._block_idx.shape
+        if N != M * P:
+            raise ContractError(f"node dim {N} does not match adjacency {M * P}")
         z = self._stack(x)
         out = (self._stacked_w().T @ z.reshape(B, -1, T * N)).reshape(B, -1, T, N)
         for k, hubs, on_hubs, cross in self._hubs:
@@ -383,14 +381,14 @@ class STPAttention(Module):
     all nodes into a frame descriptor, projects the concatenated C x (M+T)
     map through a shared bottleneck and a scoring kernel, and rescales the
     input by the outer product of the sigmoided person and frame scores.
+    The person count M is the input's node count over ``nodes_per_person``.
     """
 
-    def __init__(self, channels, num_persons, nodes_per_person, rng):
+    def __init__(self, channels, nodes_per_person, rng):
         super().__init__()
         if channels % 4 != 0:
             raise ConfigError(f"attention channels {channels} not divisible by reduction 4")
         hidden = channels // 4
-        self.M = num_persons
         self.Np = nodes_per_person
         self.w1 = self.param("w1", kaiming_uniform(rng, (hidden, channels), channels))
         self.b1 = self.param("b1", np.zeros(hidden))
@@ -399,9 +397,9 @@ class STPAttention(Module):
 
     def forward(self, x, training=False):
         B, C, T, N = x.shape
-        M, Np = self.M, self.Np
+        M, Np = N // self.Np, self.Np
         if N != M * Np:
-            raise ContractError(f"node dim {N} does not factor as {M}x{Np}")
+            raise ContractError(f"node dim {N} is not a multiple of {Np} nodes per person")
         # both sums over x are products with ones: a BLAS pass beats np.add.reduce over
         # the short frame and node axes; persons then sum the small frame sum
         nodes = np.ones(T) @ x.reshape(B * C, T, N)  # (B*C, N) frame sum
@@ -422,7 +420,7 @@ class STPAttention(Module):
 
     def backward(self, grad_out):
         x, z, h, ps, fs, att, mask = self._saved()
-        B, C, T, M, Np = *x.shape[:3], self.M, self.Np
+        B, C, T, M, Np = *x.shape[:3], ps.shape[1], self.Np
         x5, g5 = x.reshape(B, C, T, M, Np), grad_out.reshape(B, C, T, M, Np)
         gx5 = g5 * att[:, None, :, :, None]
         gatt = (g5 * x5).sum(axis=(1, 4))  # (B, T, M)

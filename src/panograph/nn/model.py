@@ -111,10 +111,7 @@ class MPGCN(Module):
             blocks = []
             for j, cout in enumerate(widths):
                 stride = 2 if j == strided_block else 1
-                blocks.append(
-                    BasicBlock(cin, cout, adjacency, config.num_persons, config.nodes_per_person,
-                               rng, stride=stride)
-                )
+                blocks.append(BasicBlock(cin, cout, adjacency, config.nodes_per_person, rng, stride=stride))
                 cin = cout
             return _BlockStack(blocks)
 

@@ -336,8 +336,8 @@ def _read_config(path: str, tensors: dict) -> tuple[dict, dict]:
 
 def load_checkpoint(path: str) -> tuple[MPGCN, dict]:
     """Rebuild a saved model and its normalisation stats. One pass checks every entry's
-    name and shape, one (2 * in_channels,) mean and std > 0 per stream, before any is
-    copied. Errors name the file."""
+    name and shape, every BN running_var >= 0, one (2 * in_channels,) mean and std > 0
+    per stream, before any is copied. Errors name the file."""
     tensors = data_io.read_tensor_container(path)
     fields, info = _read_config(path, tensors)
     try:
@@ -355,6 +355,8 @@ def load_checkpoint(path: str) -> tuple[MPGCN, dict]:
             raise FormatError(f"{path}: entry {name!r} has shape {tensors[name].shape}, expected {shape}")
         if name.endswith(".std") and not (tensors[name] > 0).all():
             raise FormatError(f"{path}: entry {name!r} is not > 0")
+        if name.endswith(".running_var") and not (tensors[name] >= 0).all():
+            raise FormatError(f"{path}: entry {name!r} is not >= 0")
     for name, value in own.items():
         value[...] = tensors[name]
     norm_stats = {key: (tensors[f"norm.{key}.mean"], tensors[f"norm.{key}.std"]) for key in STREAM_ORDER}

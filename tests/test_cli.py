@@ -157,7 +157,7 @@ class TestReassign:
 
     GRAPH = {"layout": "chain", "num_persons": 2, "num_joints": 3, "num_objects": 1}
     TRAIN = {**GRAPH, "num_frames": 4, "num_classes": 2}
-    ROSTER = {"num_joints": 2, "num_persons": 2, "num_frames": 2}
+    ROSTER = {"num_joints": 2, "num_persons": 2, "num_frames": 2, "num_objects": 1}
     FILES = {"id": "a", "jsonl": "samples/a.jsonl", "truth": "truth/a.pgt"}
     DETECTION = {"t": 0, "id": 0, "conf": 1.0, "bbox": [0, 0, 1, 1], "kpts": [[0, 0, 1]] * 2}
     TRUTH = {"truth/a.pgt": {"objects": np.zeros((1, 0, 3))}}
@@ -165,7 +165,7 @@ class TestReassign:
 
     @pytest.mark.parametrize("command,manifest,files,error", [
         ("features", {"samples": []}, {}, "manifest.json: lacks key 'layout'"),
-        ("reassign", {"samples": [{"id": "a"}], "num_joints": 5, "num_persons": 2, "num_frames": 2}, {},
+        ("reassign", {"samples": [{"id": "a"}], **ROSTER}, {},
          "manifest.json: sample 0 lacks key 'jsonl'"),
         ("reassign", {"samples": [], "num_joints": 5}, {}, "manifest.json: lacks key 'num_persons'"),
         ("features", {"samples": [{"id": "a"}, 3], **GRAPH}, {},
@@ -268,6 +268,17 @@ class TestReassign:
          "manifest.json: sample 1 key 'id' is 'a', already sample 0's"),
         ("eval", {"samples": [{"id": "a", "label": 0}, {"id": "b", "label": 1}, {"id": "a", "label": 1}]},
          {}, "manifest.json: sample 2 key 'id' is 'a', already sample 0's"),
+        ("features", {"samples": [{"id": "a"}], **GRAPH},
+         {"tensors/a.pgt": {"skeleton": np.zeros((4, 2, 4))}},
+         "tensors/a.pgt: slot tensor of shape (4, 2, 4) is not (frames, 2, 4, channels)"),
+        ("features", {"samples": [{"id": "a"}], **GRAPH},
+         {"tensors/a.pgt": {"skeleton": np.zeros((4, 1, 4, 3))}},
+         "tensors/a.pgt: slot tensor of shape (4, 1, 4, 3) is not (frames, 2, 4, channels)"),
+        ("reassign", {"samples": [FILES], **ROSTER},
+         {"samples/a.jsonl": json.dumps(DETECTION), "truth/a.pgt": {"objects": np.zeros((2, 2, 3))}},
+         "truth/a.pgt: objects of shape (2, 2, 3) do not fit the manifest's num_objects 1"),
+        ("reassign", {"samples": [], "num_joints": 2, "num_persons": 2, "num_frames": 2}, {},
+         "manifest.json: lacks key 'num_objects'"),
     ], ids=["features-layout", "reassign-jsonl", "reassign-persons", "features-sample-type",
             "train-classes", "eval-label", "features-persons-str", "train-classes-bool",
             "eval-label-float", "reassign-id-int", "reassign-jsonl-file", "reassign-truth-file",
@@ -281,7 +292,8 @@ class TestReassign:
             "features-bone-overflow", "train-stream-shapes", "eval-stream-shapes",
             "train-stream-rank", "train-stream-nodes", "reassign-id-parent", "reassign-id-absolute",
             "reassign-id-nul", "features-id-empty", "features-id-dot", "train-id-dotdot",
-            "eval-id-backslash", "reassign-id-repeated", "eval-id-repeated"])
+            "eval-id-backslash", "reassign-id-repeated", "eval-id-repeated", "features-tensor-rank",
+            "features-tensor-persons", "reassign-truth-objects", "reassign-objects"])
     def test_manifest_missing_key_exits_1(self, tmp_path, capsys, command, manifest, files, error):
         """Each command checks the manifest keys it reads and their types before reading
         them, and a file it cannot read or decode names its path: exit 1 and one error
@@ -511,18 +523,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {ckpt}: config: num_persons must be int, got '2'"]
 
-    @pytest.mark.parametrize("damage", ["nan", "shape", "zero-std"])
+    # damage: (entry, its first value, what the refusal says of it)
+    DAMAGE = {"nan": ("param.branch0.block0.sgc.W0", np.nan, "not finite"),
+              "zero-std": ("norm.joint.std", 0.0, "not > 0"),
+              "negative-var": ("buffer.branch0.block0.bn1.running_var", -1.0, "not >= 0"),
+              "tiny-negative-var": ("buffer.main.block0.tcn.b2.bn.running_var", -1e-6, "not >= 0")}
+
+    @pytest.mark.parametrize("damage", ["nan", "shape", "zero-std", "negative-var",
+                                        "tiny-negative-var"])
     def test_damaged_checkpoint_tensor_exits_1(self, pipeline, tmp_path, capsys, damage):
-        """A NaN weight, the 32-byte container whose one entry numpy cannot shape, or a
-        normalisation std of 0 (it would divide a stream by zero)."""
+        """A NaN weight, the 32-byte container whose one entry numpy cannot shape, a
+        normalisation std of 0 (it would divide a stream by zero), or a BN running
+        variance below 0 (at -1 the logits are NaN, at -1e-6 they look sound)."""
         _, data, out = pipeline
         ckpt = str(tmp_path / "ckpt.pgt")
         if damage != "shape":
+            name, value, fault = self.DAMAGE[damage]
             tensors = data_io.read_tensor_container(os.path.join(out, "ckpt_final.pgt"))
-            name = "param.branch0.block0.sgc.W0" if damage == "nan" else "norm.joint.std"
-            tensors[name].flat[0] = np.nan if damage == "nan" else 0.0
+            tensors[name].flat[0] = value
             data_io.write_tensor_container(ckpt, tensors)
-            expected = f"entry {name!r} is " + ("not finite" if damage == "nan" else "not > 0")
+            expected = f"entry {name!r} is {fault}"
         else:
             entry = struct.pack("<H8sBB3I", 8, b"skeleton", 1, 3, 0, 2**32 - 1, 2**32 - 1)
             open(ckpt, "wb").write(b"PGT1" + struct.pack("<I", 1) + entry)

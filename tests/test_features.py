@@ -1,10 +1,12 @@
 """Feature stream preprocessing tests."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from panograph import features, graph
-from panograph.errors import ConfigError, ContractError
+from panograph.errors import ConfigError, InputError
 from panograph.nn import STREAM_ORDER
 
 
@@ -223,13 +225,13 @@ class TestBundle:
         for stream in bundle.streams().values():
             assert stream.shape == (6, 10, 4)
 
-    def test_rank_mismatch(self, topo):
-        with pytest.raises(ContractError):
-            features.build_feature_bundle(np.zeros((2, 5, 3)), topo)
-
-    def test_person_count_mismatch(self, topo):
-        with pytest.raises(ContractError):
-            features.bone_vectors(np.zeros((2, 3, 5, 3)), topo)
+    @pytest.mark.parametrize("shape", [(2, 5, 3), (2, 3, 5, 3), (2, 2, 4, 3)],
+                             ids=["rank", "persons", "nodes"])
+    def test_layout_mismatch(self, topo, shape):
+        """Rank, person count and nodes per person are the topology's, or the file is refused."""
+        want = f"slot tensor of shape {shape} is not (frames, 2, 5, channels)"
+        with pytest.raises(InputError, match=re.escape(want)):
+            features.build_feature_bundle(np.zeros(shape), topo)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 3), st.integers(2, 6), st.integers(0, 2))

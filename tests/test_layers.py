@@ -592,7 +592,7 @@ class TestAttention:
         """Step-by-step recomputation for B=3, C=4, T=2, M=2, N'=3."""
         rng = np.random.default_rng(11)
         B, C, T, M, Np = 3, 4, 2, 2, 3
-        att = STPAttention(C, M, Np, rng)
+        att = STPAttention(C, Np, rng)
         x = rng.standard_normal((B, C, T, M * Np))
         out = att.forward(x)
 
@@ -610,7 +610,7 @@ class TestAttention:
     def test_gradients_match_einsum(self):
         rng = np.random.default_rng(33)
         B, C, T, M, Np = 3, 8, 5, 2, 18
-        att = STPAttention(C, M, Np, rng)
+        att = STPAttention(C, Np, rng)
         x = rng.standard_normal((B, C, T, M * Np))
         _, g, gx, grads = forward_backward(att, x, rng)
         x5 = x.reshape(B, C, T, M, Np)
@@ -637,7 +637,7 @@ class TestAttention:
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(12)
-        att = STPAttention(8, 2, 3, rng)
+        att = STPAttention(8, 3, rng)
         x = rng.standard_normal((2, 8, 5, 6)) * 10
         out = att.forward(x)
         assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
@@ -646,7 +646,7 @@ class TestAttention:
     def test_scores_at_large_logits(self, u):
         """|u| = 800 overflows exp(|u|) and underflows exp(-|u|): no warning, scores in [0, 1]."""
         rng = np.random.default_rng(14)
-        att = STPAttention(4, 2, 2, rng)
+        att = STPAttention(4, 2, rng)
         att.w2[:] = 0.0
         att.b2[:] = u
         x = rng.standard_normal((2, 4, 3, 4))
@@ -659,7 +659,7 @@ class TestAttention:
 
     def test_saturated_scores_identity(self):
         rng = np.random.default_rng(13)
-        att = STPAttention(4, 2, 2, rng)
+        att = STPAttention(4, 2, rng)
         att.w1[:] = 0.0
         att.w2[:] = 0.0
         att.b2[:] = 50.0  # sigmoid -> 1
@@ -668,11 +668,11 @@ class TestAttention:
 
     def test_reduction_divisibility(self):
         with pytest.raises(ConfigError):
-            STPAttention(6, 2, 2, np.random.default_rng(0))
+            STPAttention(6, 2, np.random.default_rng(0))
 
     def test_node_factorization(self):
-        att = STPAttention(4, 2, 3, np.random.default_rng(0))
-        with pytest.raises(ContractError):
+        att = STPAttention(4, 3, np.random.default_rng(0))
+        with pytest.raises(ContractError, match="node dim 5 is not a multiple of 3 nodes per person"):
             att.forward(np.zeros((1, 4, 2, 5)))
 
 
@@ -680,7 +680,7 @@ class TestBasicBlock:
     def test_output_shape(self):
         rng = np.random.default_rng(14)
         A = gradcheck.tiny_adjacency(2, 3)
-        block = BasicBlock(4, 8, A, 2, 3, rng, stride=2)
+        block = BasicBlock(4, 8, A, 3, rng, stride=2)
         out = block.forward(np.zeros((2, 4, 6, 6)), training=True)
         assert out.shape == (2, 8, 3, 6)
 
@@ -688,22 +688,22 @@ class TestBasicBlock:
     def test_sgc_dense_up_to_32_nodes(self, persons, dense):
         """Chain persons of 5 joints and an object: 30 nodes run dense, 36 per person."""
         A = graph.partition_and_normalize(graph.build_topology("chain", persons, 5, 1)).A_hat
-        block = BasicBlock(4, 4, A, persons, 6, np.random.default_rng(17))
+        block = BasicBlock(4, 4, A, 6, np.random.default_rng(17))
         assert block.sgc._block_idx.shape[0] == (1 if dense else persons)
         assert bool(block.sgc._hubs) != dense
 
     def test_residual_paths_exist_only_when_needed(self):
         rng = np.random.default_rng(15)
         A = gradcheck.tiny_adjacency(2, 3)
-        same = BasicBlock(8, 8, A, 2, 3, rng, stride=1)
-        changed = BasicBlock(4, 8, A, 2, 3, rng, stride=2)
+        same = BasicBlock(8, 8, A, 3, rng, stride=1)
+        changed = BasicBlock(4, 8, A, 3, rng, stride=2)
         assert same.res1 is None and same.res2 is None
         assert changed.res1 is not None and changed.res2 is not None
 
     def test_convolutions_leave_every_shift_to_batchnorm(self):
         """Each conv output reaches a BN (directly or beside one), so only BN beta shifts."""
         rng = np.random.default_rng(19)
-        block = BasicBlock(4, 8, gradcheck.tiny_adjacency(2, 3), 2, 3, rng, stride=2)
+        block = BasicBlock(4, 8, gradcheck.tiny_adjacency(2, 3), 3, rng, stride=2)
         assert [name for name, _ in block.named_parameters()] == [
             "sgc.W0", "sgc.E0", "sgc.W1", "sgc.E1", "sgc.W2", "sgc.E2",
             "bn1.gamma", "bn1.beta",
@@ -732,7 +732,7 @@ class TestBasicBlock:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
         A = gradcheck.tiny_adjacency(2, 3)
-        block = BasicBlock(4, 8, A, 2, 3, rng, stride=2)
+        block = BasicBlock(4, 8, A, 3, rng, stride=2)
         x = rng.standard_normal((2, 4, 6, 6))
         errs = gradcheck.check_layer(block, x, rng, max_entries=4)
         assert max(errs.values()) < 1e-4
@@ -741,7 +741,7 @@ class TestBasicBlock:
     def strided_block(seed):
         """A stride-2 block with both residual projections, trained forward on random x."""
         rng = np.random.default_rng(seed)
-        block = BasicBlock(4, 8, gradcheck.tiny_adjacency(2, 3), 2, 3, rng, stride=2)
+        block = BasicBlock(4, 8, gradcheck.tiny_adjacency(2, 3), 3, rng, stride=2)
         x = rng.standard_normal((2, 4, 6, 6))
         return block, x, block.forward(x, training=True), rng
 

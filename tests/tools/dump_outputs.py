@@ -13,6 +13,10 @@ The first form writes under OUT_DIR (which must not exist):
   and ``eval`` of both without ``--fuse`` (which exits 1);
 - ``*.out``: the stdout, stderr and exit code of every command,
   ``gradcheck --seed 0 --seeds 10`` included;
+- ``refuse_*.out``: three refusals, run on a copy of the default set that is
+  deleted after them: ``features`` of a slot tensor with a person fewer,
+  ``reassign`` of a truth file with an extra object slot, and ``eval`` of the
+  final checkpoint with one BN ``running_var`` at -1;
 - ``loaded.npz``: every parameter, buffer and normalisation array that
   ``train.load_checkpoint`` returns for the two checkpoints of that
   ``train`` run, and the final checkpoint's eval logits on the first 16
@@ -44,6 +48,7 @@ import argparse
 import contextlib
 import io
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -118,6 +123,7 @@ def dump_pipeline() -> None:
     run("eval_single", ["eval", *ckpts[2:], "--data", data])
     run("eval_nofuse", ["eval", *ckpts, "--data", data])
     dump_loaded(data, out)
+    dump_refusals(data, out)
     run_recording_probes("gradcheck", ["gradcheck", "--seed", "0", "--seeds", "10"])
 
 
@@ -139,6 +145,31 @@ def dump_loaded(data: str, out: str) -> None:
     streams = train.stack_batch(ds, np.arange(len(ds)), stats)
     arrays["final/eval_logits"] = model.forward(streams, training=False)
     np.savez("loaded.npz", **arrays)
+
+
+def dump_refusals(data: str, out: str) -> None:
+    """``refuse_*.out``: what ``features``, ``reassign`` and ``eval`` print for a damaged
+    file of sample 0 in a copy of ``data`` (the final checkpoint under ``out`` for ``eval``).
+    The copy is deleted after."""
+    from panograph import data_io
+
+    copy = "refusals"
+    shutil.copytree(data, copy, ignore=shutil.ignore_patterns(os.path.basename(out)))
+    tensor = os.path.join(copy, "tensors", "s0000.pgt")
+    x = data_io.read_tensor_container(tensor)["skeleton"]
+    data_io.write_tensor_container(tensor, {"skeleton": x[:, 1:]})
+    run("refuse_features", ["features", "--data", copy])
+    truth = os.path.join(copy, "truth", "s0000.pgt")
+    entries = data_io.read_tensor_container(truth)
+    entries["objects"] = np.concatenate([entries["objects"], entries["objects"][:, :1]], axis=1)
+    data_io.write_tensor_container(truth, entries)
+    run("refuse_reassign", ["reassign", "--data", copy])
+    ckpt = os.path.join(copy, "ckpt.pgt")
+    entries = data_io.read_tensor_container(os.path.join(out, "ckpt_final.pgt"))
+    entries["buffer.branch0.block0.bn1.running_var"][0] = -1.0
+    data_io.write_tensor_container(ckpt, entries)
+    run("refuse_eval", ["eval", "--ckpt", ckpt, "--data", copy])
+    shutil.rmtree(copy)
 
 
 def freeze_listed(module, frozen: bool) -> None:
